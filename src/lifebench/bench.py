@@ -8,6 +8,7 @@ them only at display time (3 fractional digits in CSV output).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -65,11 +66,11 @@ class BenchConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.min_steps < 1:
             raise ValueError("min_steps must be >= 1")
-        if self.min_duration < 0:
-            raise ValueError("min_duration must be >= 0")
+        if not (math.isfinite(self.min_duration) and self.min_duration >= 0):
+            raise ValueError(f"min_duration must be a finite number >= 0, got {self.min_duration}")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
-        if not 0.0 <= self.density <= 1.0:
+        if not 0.0 <= self.density <= 1.0:  # also rejects NaN
             raise ValueError(f"density must be in [0, 1], got {self.density}")
 
 

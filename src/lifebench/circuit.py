@@ -1,11 +1,13 @@
 """Synchronous-circuit emulation of the Game of Life, plus FPGA resource models.
 
 Each cell is one D flip-flop, a popcount adder tree over its eight neighbor
-registers, and rule logic on the 4-bit sum. Neighbor inputs that would fall
-outside the grid are wired to a constant-0 node when the netlist is built,
-so the combinational graph contains no boundary tests. The whole world
-updates on every clock tick: all combinational nodes are evaluated from the
-current register values, then every register latches at once.
+registers, and rule logic on the 4-bit sum, written once as a table of gate
+blocks. elaborate() replicates the table into an explicit node graph, in
+which neighbor inputs that would fall outside the grid are wired to a
+constant-0 node. The whole world updates on every clock tick: the gate
+blocks are evaluated one after another from the current register values on
+bit-packed uint64 planes, 64 cells per gate op and with no allocation, and
+then every register latches at once.
 
 Resource estimation is separate from the netlist: registers and LEs for a
 given world size are modeled from a calibration table of synthesis results
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import World
+from .grid import MASK64, World
 
 # Node kind codes. XOR3/MAJ3 are the sum and carry halves of a full-adder
 # stage; everything else is an ordinary 1- or 2-input gate.
@@ -47,35 +49,121 @@ class OutOfRange(ValueError):
     """Requested size falls outside the calibration table."""
 
 
-# Moore neighborhood, row-major; the first three feed one adder, the next
-# three the second, the last two the final half adder.
-_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+# Moore neighborhood by compass direction: (dx, dy), y pointing down.
+_NEIGHBORS = {"nw": (-1, -1), "n": (0, -1), "ne": (1, -1), "w": (-1, 0),
+              "e": (1, 0), "sw": (-1, 1), "s": (0, 1), "se": (1, 1)}
 
-# Gates per cell: elaborate() lays out one block of `cells` nodes per
-# logical signal, blocks in dependency order.
-_N_CELL_NODES = 19
+# The per-cell circuit, one block per logical signal in dependency order:
+# (name, kind, inputs). An input is a neighbor register, "self" (the cell's
+# own register) or an earlier block. Three neighbors feed each of two full
+# adders and the last two a half adder; the last block is the register's D
+# input. elaborate() replicates this table into the explicit graph and
+# Netlist compiles it into its packed tick, so the rule is written once.
+_BLOCKS = (
+    ("sum_a", XOR3, ("nw", "n", "ne")),
+    ("sum_b", XOR3, ("w", "e", "sw")),
+    ("car_a", MAJ3, ("nw", "n", "ne")),
+    ("car_b", MAJ3, ("w", "e", "sw")),
+    ("sum_c", XOR, ("s", "se")),
+    ("car_c", AND, ("s", "se")),
+    ("bit0", XOR3, ("sum_a", "sum_b", "sum_c")),    # ones column sum
+    ("ones_c", MAJ3, ("sum_a", "sum_b", "sum_c")),  # and its carry
+    ("twos", XOR3, ("car_a", "car_b", "car_c")),    # carry column sum
+    ("twos_c", MAJ3, ("car_a", "car_b", "car_c")),  # and its carry
+    ("bit1", XOR, ("twos", "ones_c")),
+    ("car_f", AND, ("twos", "ones_c")),
+    ("bit2", XOR, ("twos_c", "car_f")),
+    ("bit3", AND, ("twos_c", "car_f")),
+    ("ge4", OR, ("bit3", "bit2")),                  # count >= 4
+    ("lt4", NOT, ("ge4",)),
+    ("is23", AND, ("lt4", "bit1")),                 # count is 2 or 3
+    ("b0_or_self", OR, ("bit0", "self")),
+    ("next", AND, ("is23", "b0_or_self")),          # next cell state
+)
+_BLOCK_INDEX = {name: i for i, (name, _, _) in enumerate(_BLOCKS)}
+
+_BINARY_UFUNCS = {AND: np.bitwise_and, OR: np.bitwise_or, XOR: np.bitwise_xor}
 
 
 class Netlist:
     """Explicit register + gate graph for one world size.
 
     Node ids: 0..R-1 are the cell state registers (row-major), id R is the
-    shared constant-0 node, and ids R+1.. are gates in topological order.
-    Use elaborate() to build one. An instance must not be ticked from two
-    threads at once; distinct netlists are independent.
+    shared constant-0 node, and ids R+1.. are gates in topological order,
+    one contiguous block of R nodes per signal of the cell table.
+
+    The registers are held bit-packed in World.words layout, and a tick
+    evaluates the gate blocks one after another on uint64 planes, 64 cells
+    per gate op, with no allocation. Use elaborate() to build one. An
+    instance must not be ticked from two threads at once; distinct
+    netlists are independent.
     """
 
-    def __init__(self, width, height, kinds, inputs, reg_next, reg_init, schedule):
+    def __init__(self, width, height, kinds, inputs, reg_next, reg_init):
         self.width = width
         self.height = height
         self.n_registers = width * height
         self.kinds = kinds          # int8 (C,), per gate node (const included)
         self.inputs = inputs        # int32 (C, 3), node ids, -1 = unused
         self.reg_next = reg_next    # intp (R,), node id of each register's D input
-        self.reg_init = reg_init    # bool (R,), reset values
-        self._schedule = schedule   # [(kind, out_lo, out_hi, a, b, c)]
-        self._values = np.zeros(self.n_registers + len(kinds), dtype=bool)
+        self.reg_init = reg_init    # uint64 (height, row words), reset values
+        self._compile()
         self.reset()
+
+    def _compile(self) -> None:
+        """Preallocate the planes and turn the cell table into a list of ops.
+
+        shifted[dx + 1] holds the registers shifted so that bit x of a row
+        is cell x + dx, between an all-zero row above and below (the dead
+        boundary), so each neighbor input is a row-offset view of it. The
+        registers themselves are the interior of shifted[1].
+        """
+        h = self.height
+        rw = (self.width + 63) >> 6
+        last_bits = self.width - 64 * (rw - 1)
+        self._row_mask = np.full(rw, MASK64, dtype=np.uint64)
+        self._row_mask[-1] = (1 << last_bits) - 1
+        shifted = np.zeros((3, h + 2, rw), dtype=np.uint64)
+        planes = np.empty((len(_BLOCKS), h, rw), dtype=np.uint64)
+        scratch = np.empty((h, rw), dtype=np.uint64)
+        west, regs, east = shifted[:, 1:-1]
+        self._regs = regs
+
+        one, top = np.uint64(1), np.uint64(63)
+        ops = [(np.left_shift, (regs, one, west)),
+               (np.right_shift, (regs, one, east))]
+        if rw > 1:  # carry the bit that crosses each word boundary
+            carry = np.empty((h, rw - 1), dtype=np.uint64)
+            ops += [(np.right_shift, (regs[:, :-1], top, carry)),
+                    (np.bitwise_or, (west[:, 1:], carry, west[:, 1:])),
+                    (np.left_shift, (regs[:, 1:], top, carry)),
+                    (np.bitwise_or, (east[:, :-1], carry, east[:, :-1]))]
+
+        def plane(src):
+            if src == "self":
+                return regs
+            if src in _NEIGHBORS:
+                dx, dy = _NEIGHBORS[src]
+                return shifted[dx + 1, 1 + dy:1 + dy + h]
+            return planes[_BLOCK_INDEX[src]]
+
+        for out, (_, kind, sources) in zip(planes, _BLOCKS):
+            a, *rest = (plane(s) for s in sources)
+            if kind == NOT:
+                ops.append((np.invert, (a, out)))
+            elif kind == XOR3:
+                b, c = rest
+                ops += [(np.bitwise_xor, (a, b, out)), (np.bitwise_xor, (out, c, out))]
+            elif kind == MAJ3:  # ab | c(a ^ b)
+                b, c = rest
+                ops += [(np.bitwise_and, (a, b, out)), (np.bitwise_xor, (a, b, scratch)),
+                        (np.bitwise_and, (scratch, c, scratch)),
+                        (np.bitwise_or, (out, scratch, out))]
+            else:
+                ops.append((_BINARY_UFUNCS[kind], (a, *rest, out)))
+        # Latch: bits past the row end may be set (NOT, shifts); drop them.
+        ops.append((np.bitwise_and, (planes[-1], self._row_mask, regs)))
+        self._ops = ops
 
     @property
     def n_comb_nodes(self) -> int:
@@ -87,73 +175,34 @@ class Netlist:
 
     def reset(self) -> None:
         """Latch the reset pattern into the registers."""
-        self._values[:self.n_registers] = self.reg_init
-        self._values[self.n_registers] = False
+        np.bitwise_and(self.reg_init, self._row_mask, out=self._regs)
 
     def load(self, world: World) -> None:
         """Overwrite register state with a world of matching size."""
         if (world.width, world.height) != (self.width, self.height):
             raise SizeMismatch(
                 f"netlist is {self.width}x{self.height}, world is {world.width}x{world.height}")
-        self._values[:self.n_registers] = _world_bits(world)
+        words = np.array(world.words, dtype=np.uint64).reshape(self._regs.shape)
+        np.bitwise_and(words, self._row_mask, out=self._regs)
 
     def registers(self) -> np.ndarray:
-        """Copy of the current register values, row-major."""
-        return self._values[:self.n_registers].copy()
+        """Copy of the current register values as a row-major bool array."""
+        octets = self._regs.astype("<u8").view(np.uint8)
+        bits = np.unpackbits(octets, axis=1, bitorder="little")
+        return bits[:, :self.width].astype(bool).ravel()
 
     def to_world(self, generation: int = 0) -> World:
-        return _bits_world(self._values[:self.n_registers], self.width, self.height, generation)
+        return World(self.width, self.height, tuple(self._regs.ravel().tolist()), generation)
 
     def tick(self) -> None:
-        """One clock: evaluate all gates from register values, then latch.
+        """One clock: evaluate all gate blocks from register values, then latch.
 
-        Gates are evaluated in blocks whose inputs are already settled, so
-        no register update is visible before the final simultaneous latch.
+        Each block reads only registers and earlier blocks, and the
+        registers are overwritten by the last op alone, so no register
+        update is visible before the simultaneous latch.
         """
-        v = self._values
-        for kind, lo, hi, a, b, c in self._schedule:
-            if kind == XOR3:
-                v[lo:hi] = v[a] ^ v[b] ^ v[c]
-            elif kind == MAJ3:
-                va, vb, vc = v[a], v[b], v[c]
-                v[lo:hi] = (va & vb) | (va & vc) | (vb & vc)
-            elif kind == AND:
-                v[lo:hi] = v[a] & v[b]
-            elif kind == OR:
-                v[lo:hi] = v[a] | v[b]
-            elif kind == XOR:
-                v[lo:hi] = v[a] ^ v[b]
-            else:  # NOT
-                v[lo:hi] = ~v[a]
-        v[:self.n_registers] = v[self.reg_next]
-
-    def tick_in_order(self, order) -> None:
-        """One clock, evaluating gates one at a time in the given id order.
-
-        `order` must be a topological permutation of the combinational node
-        ids (constant included). Exists to check that tick() is insensitive
-        to evaluation order; far too slow for real stepping.
-        """
-        v = self._values
-        base = self.n_registers
-        for nid in order:
-            k = self.kinds[nid - base]
-            a, b, c = self.inputs[nid - base]
-            if k == CONST0:
-                v[nid] = False
-            elif k == AND:
-                v[nid] = v[a] & v[b]
-            elif k == OR:
-                v[nid] = v[a] | v[b]
-            elif k == NOT:
-                v[nid] = not v[a]
-            elif k == XOR:
-                v[nid] = v[a] ^ v[b]
-            elif k == XOR3:
-                v[nid] = v[a] ^ v[b] ^ v[c]
-            else:
-                v[nid] = (v[a] & v[b]) | (v[a] & v[c]) | (v[b] & v[c])
-        v[:base] = v[self.reg_next]
+        for op, args in self._ops:
+            op(*args)
 
     def dump(self, out=None) -> None:
         """Debug listing, one line per node: NODE <id> <kind> <inputs...>."""
@@ -165,21 +214,6 @@ class Netlist:
             kind = self.kinds[k]
             ins = " ".join(str(i) for i in self.inputs[k] if i >= 0)
             out.write(f"NODE {base + k} {KIND_NAMES[kind]}{' ' if ins else ''}{ins}\n")
-
-
-def _world_bits(world: World) -> np.ndarray:
-    """World cells as a flat row-major bool array."""
-    words = np.array(world.words, dtype="<u8")
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-    return bits.reshape(world.height, -1)[:, :world.width].astype(bool).ravel()
-
-def _bits_world(bits: np.ndarray, width: int, height: int, generation: int) -> World:
-    """Flat row-major bool array back into a bit-packed World."""
-    rw = (width + 63) >> 6
-    padded = np.zeros((height, rw * 64), dtype=np.uint8)
-    padded[:, :width] = bits.reshape(height, width)
-    words = np.packbits(padded, axis=1, bitorder="little").reshape(height, -1).copy().view("<u8")
-    return World(width, height, tuple(int(w) for w in words.ravel()), generation)
 
 
 def elaborate(width: int, height: int, initial: World | None = None) -> Netlist:
@@ -198,75 +232,41 @@ def elaborate(width: int, height: int, initial: World | None = None) -> Netlist:
 
     n = width * height
     const = n  # node id of the shared constant-0
-    cell = np.arange(n, dtype=np.intp)
-    ys, xs = np.divmod(cell, width)
+    cells = np.arange(n, dtype=np.int32).reshape(height, width)
 
-    nb = np.empty((8, n), dtype=np.intp)
-    for k, (dx, dy) in enumerate(_OFFSETS):
-        nx = xs + dx
-        ny = ys + dy
-        inside = (nx >= 0) & (nx < width) & (ny >= 0) & (ny < height)
-        nb[k] = np.where(inside, ny * width + nx, const)
-
-    # One contiguous block of n nodes per logical signal, in dependency order.
-    def block(i):
-        return const + 1 + i * n + cell
-
-    sum_a, sum_b = block(0), block(1)      # XOR3 over neighbor triples
-    car_a, car_b = block(2), block(3)      # MAJ3 over the same triples
-    sum_c, car_c = block(4), block(5)      # half adder over the last pair
-    bit0, ones_c = block(6), block(7)      # ones column sum and its carry
-    twos, twos_c = block(8), block(9)      # carry column sum and its carry
-    bit1, car_f = block(10), block(11)
-    bit2, bit3 = block(12), block(13)
-    ge4 = block(14)                        # count >= 4
-    lt4 = block(15)
-    is23 = block(16)                       # count is 2 or 3
-    b0_or_self = block(17)                 # bit0 | own register
-    nxt = block(18)                        # next cell state
-
-    blocks = [
-        (XOR3, sum_a, nb[0], nb[1], nb[2]),
-        (XOR3, sum_b, nb[3], nb[4], nb[5]),
-        (MAJ3, car_a, nb[0], nb[1], nb[2]),
-        (MAJ3, car_b, nb[3], nb[4], nb[5]),
-        (XOR, sum_c, nb[6], nb[7], None),
-        (AND, car_c, nb[6], nb[7], None),
-        (XOR3, bit0, sum_a, sum_b, sum_c),
-        (MAJ3, ones_c, sum_a, sum_b, sum_c),
-        (XOR3, twos, car_a, car_b, car_c),
-        (MAJ3, twos_c, car_a, car_b, car_c),
-        (XOR, bit1, twos, ones_c, None),
-        (AND, car_f, twos, ones_c, None),
-        (XOR, bit2, twos_c, car_f, None),
-        (AND, bit3, twos_c, car_f, None),
-        (OR, ge4, bit3, bit2, None),
-        (NOT, lt4, ge4, None, None),
-        (AND, is23, lt4, bit1, None),
-        (OR, b0_or_self, bit0, cell, None),
-        (AND, nxt, is23, b0_or_self, None),
-    ]
-
-    n_comb = 1 + _N_CELL_NODES * n
+    # Block i of the table is comb nodes 1 + i*n .. (i+1)*n, i.e. node ids
+    # const + 1 + i*n + cell. Columns are filled in place, block by block.
+    n_comb = 1 + len(_BLOCKS) * n
     kinds = np.empty(n_comb, dtype=np.int8)
-    inputs = np.full((n_comb, 3), -1, dtype=np.int32)
+    inputs = np.empty((n_comb, 3), dtype=np.int32)
     kinds[0] = CONST0
-    schedule = []
-    for kind, out, a, b, c in blocks:
-        idx = out - const  # comb-array index of this block
-        kinds[idx] = kind
-        inputs[idx, 0] = a
-        if b is not None:
-            inputs[idx, 1] = b
-        if c is not None:
-            inputs[idx, 2] = c
-        schedule.append((kind, int(out[0]), int(out[-1]) + 1,
-                         np.ascontiguousarray(a),
-                         None if b is None else np.ascontiguousarray(b),
-                         None if c is None else np.ascontiguousarray(c)))
+    inputs[0] = -1
+    for i, (_, kind, sources) in enumerate(_BLOCKS):
+        lo = 1 + i * n
+        kinds[lo:lo + n] = kind
+        block = inputs[lo:lo + n].reshape(height, width, 3)
+        block[:, :, len(sources):] = -1
+        for col, src in enumerate(sources):
+            out = block[:, :, col]
+            if src == "self":
+                out[...] = cells
+            elif src in _NEIGHBORS:
+                dx, dy = _NEIGHBORS[src]
+                out.fill(const)
+                ys = slice(max(0, -dy), height - max(0, dy))
+                xs = slice(max(0, -dx), width - max(0, dx))
+                np.add(cells[ys, xs], dy * width + dx, out=out[ys, xs])
+            else:
+                np.add(cells, const + 1 + _BLOCK_INDEX[src] * n, out=out)
+    nxt = const + 1 + (len(_BLOCKS) - 1) * n
+    reg_next = np.arange(nxt, nxt + n, dtype=np.intp)
 
-    reg_init = _world_bits(initial) if initial is not None else np.zeros(n, dtype=bool)
-    return Netlist(width, height, kinds, inputs, nxt.copy(), reg_init, schedule)
+    rw = (width + 63) >> 6
+    if initial is None:
+        reg_init = np.zeros((height, rw), dtype=np.uint64)
+    else:
+        reg_init = np.array(initial.words, dtype=np.uint64).reshape(height, rw)
+    return Netlist(width, height, kinds, inputs, reg_next, reg_init)
 
 
 def count_resources(netlist: Netlist) -> tuple[int, int]:

@@ -8,12 +8,13 @@ failure. Commands never touch the network.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import bench, refdata
 from .circuit import OutOfRange, estimate_resources
-from .energy import (DEFAULT_PROFILES, NonpositivePower, PowerProfile, comparison_csv,
+from .energy import (DEFAULT_PROFILES, EnergyInputError, PowerProfile, comparison_csv,
                      comparison_markdown, comparison_table, energy_per_step, format_energy)
 from .engines import ENGINE_KINDS, run
 from .grid import PatternError, parse_pattern, serialize_pattern
@@ -140,7 +141,9 @@ def cmd_estimate(args) -> int:
         est = estimate_resources(width, height, extrapolate=args.extrapolate)
         fpga_ns = est.min_clock_ns
         fpga_energy = energy_per_step(args.power_fpga, fpga_ns * 1e-9)
-    except (OutOfRange, NonpositivePower) as exc:
+        if args.sw_ns_per_step is not None:
+            sw_energy = energy_per_step(args.power_sw, args.sw_ns_per_step * 1e-9)
+    except (OutOfRange, EnergyInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"size: {width}x{height} ({width * height} cells)")
@@ -150,11 +153,6 @@ def cmd_estimate(args) -> int:
     print(f"fpga ns/step: {fpga_ns}")
     print(f"fpga energy/step: {format_energy(fpga_energy)} ({fpga_energy:.7g} J)")
     if args.sw_ns_per_step is not None:
-        try:
-            sw_energy = energy_per_step(args.power_sw, args.sw_ns_per_step * 1e-9)
-        except NonpositivePower as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         print(f"software ns/step: {args.sw_ns_per_step}")
         print(f"software energy/step: {format_energy(sw_energy)} ({sw_energy:.7g} J)")
         print(f"speedup fpga vs software: {bench.speedup(args.sw_ns_per_step, fpga_ns):.1f}")
@@ -206,17 +204,17 @@ def cmd_report(args) -> int:
             if not sep:
                 raise ValueError
             watts = float(watts_s)
-            if watts <= 0:
+            if not (math.isfinite(watts) and watts > 0):
                 raise ValueError
         except ValueError:
-            print(f"error: expected --power label=watts with positive watts, got {item!r}",
+            print(f"error: expected --power label=watts with positive finite watts, got {item!r}",
                   file=sys.stderr)
             return EXIT_USAGE
         profiles[label] = PowerProfile(label, watts, "command line")
 
     try:
         rows = comparison_table(device_samples, profiles=profiles)
-    except OutOfRange as exc:
+    except (OutOfRange, EnergyInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(comparison_csv(rows) if args.format == "csv"

@@ -7,14 +7,19 @@ joules; unit prefixes are chosen only when formatting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import circuit as _circuit
 from .bench import ZeroDivisor, fpga_time_model, speedup
 
 
-class NonpositivePower(ValueError):
-    """Power must be positive watts."""
+class EnergyInputError(ValueError):
+    """Power or time per step is not a usable number."""
+
+
+class NonpositivePower(EnergyInputError):
+    """Power must be positive, finite watts."""
 
 
 @dataclass(frozen=True)
@@ -47,10 +52,10 @@ class EnergyEstimate:
 
 def energy_per_step(watts: float, seconds: float) -> float:
     """Joules per step: exact product, no rounding until display."""
-    if watts <= 0:
-        raise NonpositivePower(f"power must be positive, got {watts} W")
-    if seconds < 0:
-        raise ValueError(f"time per step must be >= 0, got {seconds} s")
+    if not (math.isfinite(watts) and watts > 0):
+        raise NonpositivePower(f"power must be positive and finite, got {watts} W")
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise EnergyInputError(f"time per step must be finite and >= 0, got {seconds} s")
     return watts * seconds
 
 

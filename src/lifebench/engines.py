@@ -203,7 +203,10 @@ class BitSlicedEngine:
     def world(self) -> World:
         s = self._stride
         board = self._board
-        rows = [(board >> (y * s)) for y in range(self._height)]
+        # Mask each row as it is shifted out, so only one board-sized
+        # temporary is alive at a time instead of one per row.
+        row = (1 << self._width) - 1
+        rows = [(board >> (y * s)) & row for y in range(self._height)]
         return World.from_row_ints(self._width, self._height, rows, self._generation)
 
 

@@ -1,5 +1,8 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import numpy as np
+
+from lifebench.circuit import AND, CONST0, NOT, OR, XOR, XOR3
 from lifebench.engines import neighbor_count, next_cell_state
 from lifebench.grid import World
 
@@ -75,3 +78,36 @@ def crop(world, margin):
         if margin <= x < margin + w and margin <= y < margin + h:
             cells.add((x - margin, y - margin))
     return world_from_cells(w, h, cells, world.generation)
+
+
+def tick_in_order(netlist, order):
+    """One clock of the explicit graph, evaluating gates one at a time.
+
+    `order` must be a topological permutation of the combinational node ids
+    (constant included). Node values live in a per-node bool vector seeded
+    from the netlist's registers; the next states are latched back through
+    netlist.load. Far too slow for real stepping.
+    """
+    base = netlist.n_registers
+    v = np.zeros(base + netlist.n_comb_nodes, dtype=bool)
+    v[:base] = netlist.registers()
+    for nid in order:
+        k = netlist.kinds[nid - base]
+        a, b, c = netlist.inputs[nid - base]
+        if k == CONST0:
+            v[nid] = False
+        elif k == AND:
+            v[nid] = v[a] & v[b]
+        elif k == OR:
+            v[nid] = v[a] | v[b]
+        elif k == NOT:
+            v[nid] = not v[a]
+        elif k == XOR:
+            v[nid] = v[a] ^ v[b]
+        elif k == XOR3:
+            v[nid] = v[a] ^ v[b] ^ v[c]
+        else:
+            v[nid] = (v[a] & v[b]) | (v[a] & v[c]) | (v[b] & v[c])
+    w = netlist.width
+    live = np.flatnonzero(v[netlist.reg_next]).tolist()
+    netlist.load(world_from_cells(w, netlist.height, {(i % w, i // w) for i in live}))

@@ -1,10 +1,11 @@
+import hashlib
 import io
 import re
 
 import numpy as np
 import pytest
 
-from helpers import BEACON_A, BEACON_B, cells_of
+from helpers import BEACON_A, BEACON_B, cells_of, tick_in_order
 from lifebench.circuit import (CONST0, KIND_NAMES, CalRow, CalibrationTable, OutOfRange,
                                REGISTER_OVERHEAD, SizeMismatch, count_resources,
                                elaborate, estimate_resources)
@@ -95,6 +96,25 @@ def test_combinational_graph_is_acyclic():
     assert all(nid >= base for nid in n.reg_next)
 
 
+# sha256 over kinds, inputs and reg_next as int64, pinned from the netlist
+# that the original gather-based emulation elaborated.
+GRAPH_DIGESTS = {
+    (1, 1): "b173290dd244f00675d5bd74f2b8760ed32215275cdbb3f65a7e6aac8f0cb02b",
+    (7, 5): "944e30fd26f38800545e1b6f9d6d75d74790ce367ea118f0927fa0a9762491fb",
+    (64, 2): "b8217924425b15eedabbe75475addb061badff6b53b094eca12a9694e20b3abe",
+    (65, 3): "5407f6ef05995becdacf8c228f34dff73629bd2d86a2adb6f1e372a33629436a",
+}
+
+
+@pytest.mark.parametrize("size", sorted(GRAPH_DIGESTS))
+def test_graph_pinned(size):
+    n = elaborate(*size)
+    digest = hashlib.sha256()
+    for array in (n.kinds, n.inputs, n.reg_next):
+        digest.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == GRAPH_DIGESTS[size]
+
+
 def test_elaborate_rejects_bad_args():
     with pytest.raises(ValueError):
         elaborate(0, 3)
@@ -139,22 +159,24 @@ def test_load_size_mismatch():
 
 def test_tick_order_insensitive():
     # Latching must not depend on the order combinational nodes settle.
-    world = random_world(4, 4, 0.5, 12)
-    n = elaborate(4, 4)
-    n.load(world)
-    n.tick()
-    expected = n.registers()
-
-    levels = comb_level(n)
-    base = n.n_registers
+    # 70 columns straddle a word, so the packed tick's cross-word carry is
+    # checked against the explicit graph too.
     rng = np.random.default_rng(9)
-    for _ in range(5):
-        ids = np.arange(base, base + n.n_comb_nodes)
-        keys = rng.random(len(ids))
-        order = ids[np.lexsort((keys, levels[ids]))]  # random valid topo order
+    for width, height in [(4, 4), (70, 3)]:
+        world = random_world(width, height, 0.5, 12)
+        n = elaborate(width, height)
         n.load(world)
-        n.tick_in_order(order)
-        assert np.array_equal(n.registers(), expected)
+        n.tick()
+        expected = n.registers()
+
+        levels = comb_level(n)
+        ids = np.arange(n.n_registers, n.n_registers + n.n_comb_nodes)
+        for _ in range(5):
+            keys = rng.random(len(ids))
+            order = ids[np.lexsort((keys, levels[ids]))]  # random valid topo order
+            n.load(world)
+            tick_in_order(n, order)
+            assert np.array_equal(n.registers(), expected)
 
 
 def test_dump_format():

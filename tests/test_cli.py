@@ -147,6 +147,16 @@ def test_bench_two_sizes_prints_fit(capsys):
     assert "fit: slope=" in out
 
 
+@pytest.mark.parametrize("flag, value", [("--min-duration", "nan"), ("--min-duration", "inf"),
+                                         ("--min-duration", "-1"), ("--density", "nan")])
+def test_bench_non_finite_exit_2(flag, value, capsys):
+    code, out, err = run_cli(["bench", "--sizes", "8x8", "--min-steps", "1",
+                              "--warmup", "0", flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # estimate
 # ---------------------------------------------------------------------------
@@ -183,6 +193,16 @@ def test_estimate_out_of_range_exit_2(capsys):
     code, out, _ = run_cli(["estimate", "--size", "5x5", "--extrapolate"], capsys)
     assert code == 0
     assert "registers: 29" in out
+
+
+@pytest.mark.parametrize("args", [["--sw-ns-per-step", "-5"], ["--sw-ns-per-step", "nan"],
+                                  ["--power-fpga", "nan"], ["--power-fpga", "inf"],
+                                  ["--power-sw", "-1", "--sw-ns-per-step", "5"]])
+def test_estimate_bad_numbers_exit_2(args, capsys):
+    code, out, err = run_cli(["estimate", "--size", "50x50", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +294,6 @@ def test_report_power_override(tmp_path, capsys):
     lab = [ln for ln in out.splitlines() if ",lab," in ln][0]
     energy = float(lab.split(",")[5])
     assert energy == pytest.approx(2.0 * 2500e-9, rel=1e-9)
-    code, _, err = run_cli(["report", "--input", f"lab={path}", "--power", "lab=x"],
-                           capsys)
-    assert code == 2
+    for bad in ("lab=x", "lab=nan", "lab=inf"):
+        code, _, err = run_cli(["report", "--input", f"lab={path}", "--power", bad], capsys)
+        assert code == 2

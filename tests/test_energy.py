@@ -4,7 +4,7 @@ import pytest
 
 from lifebench.bench import BenchSample, ZeroDivisor
 from lifebench.energy import (DEFAULT_PROFILES, ComparisonRow, EnergyEstimate,
-                              NonpositivePower, PowerProfile, comparison_csv,
+                              EnergyInputError, NonpositivePower, PowerProfile, comparison_csv,
                               comparison_markdown, comparison_table, energy_per_step,
                               energy_ratio, format_energy)
 from lifebench.refdata import load_calibration, load_device_times
@@ -33,8 +33,12 @@ def test_energy_errors():
         energy_per_step(0.0, 1.0)
     with pytest.raises(NonpositivePower):
         energy_per_step(-2.0, 1.0)
-    with pytest.raises(ValueError):
-        energy_per_step(1.0, -1.0)
+    for watts in (math.nan, math.inf):
+        with pytest.raises(NonpositivePower):
+            energy_per_step(watts, 1.0)
+    for seconds in (-1.0, math.nan, math.inf):
+        with pytest.raises(EnergyInputError):
+            energy_per_step(1.0, seconds)
 
 
 def test_energy_ratio():
