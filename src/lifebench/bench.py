@@ -83,6 +83,12 @@ class BenchSample:
     steps: int
     total_ns: int
 
+    def __post_init__(self):
+        if min(self.width, self.height) < 1 or self.cells != self.width * self.height:
+            raise ValueError(f"{self.cells} cells is not a {self.width}x{self.height} world")
+        if self.steps < 1 or self.total_ns < 0:
+            raise ValueError(f"need steps >= 1, total_ns >= 0, got {self.steps}, {self.total_ns}")
+
     @property
     def ns_per_step(self) -> float:
         return self.total_ns / self.steps
@@ -138,7 +144,7 @@ def samples_to_csv(samples) -> str:
 
 
 def read_csv(text: str) -> list[BenchSample]:
-    """Parse benchmark CSV text; CsvSchemaError names any bad column."""
+    """Parse benchmark CSV text; CsvSchemaError names any bad column or row."""
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
         raise CsvSchemaError("empty CSV, expected header " + CSV_HEADER)

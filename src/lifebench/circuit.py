@@ -2,12 +2,12 @@
 
 Each cell is one D flip-flop, a popcount adder tree over its eight neighbor
 registers, and rule logic on the 4-bit sum, written once as a table of gate
-blocks. elaborate() replicates the table into an explicit node graph, in
-which neighbor inputs that would fall outside the grid are wired to a
-constant-0 node. The whole world updates on every clock tick: the gate
-blocks are evaluated one after another from the current register values on
-bit-packed uint64 planes, 64 cells per gate op and with no allocation, and
-then every register latches at once.
+blocks. A Netlist replicates the table into an explicit node graph, built
+on first read, in which neighbor inputs that would fall outside the grid
+are wired to a constant-0 node. The whole world updates on every clock
+tick: the gate blocks are evaluated one after another from the current
+register values on bit-packed uint64 planes, 64 cells per gate op and with
+no allocation, and then every register latches at once.
 
 Resource estimation is separate from the netlist: registers and LEs for a
 given world size are modeled from a calibration table of synthesis results
@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import MASK64, World
+from .grid import MASK64, World, cells
 
 # Node kind codes. XOR3/MAJ3 are the sum and carry halves of a full-adder
 # stage; everything else is an ordinary 1- or 2-input gate.
@@ -57,8 +58,8 @@ _NEIGHBORS = {"nw": (-1, -1), "n": (0, -1), "ne": (1, -1), "w": (-1, 0),
 # (name, kind, inputs). An input is a neighbor register, "self" (the cell's
 # own register) or an earlier block. Three neighbors feed each of two full
 # adders and the last two a half adder; the last block is the register's D
-# input. elaborate() replicates this table into the explicit graph and
-# Netlist compiles it into its packed tick, so the rule is written once.
+# input. Netlist replicates this table into the explicit graph and compiles
+# it into its packed tick, so the rule is written once.
 _BLOCKS = (
     ("sum_a", XOR3, ("nw", "n", "ne")),
     ("sum_b", XOR3, ("w", "e", "sw")),
@@ -94,21 +95,53 @@ class Netlist:
 
     The registers are held bit-packed in World.words layout, and a tick
     evaluates the gate blocks one after another on uint64 planes, 64 cells
-    per gate op, with no allocation. Use elaborate() to build one. An
-    instance must not be ticked from two threads at once; distinct
-    netlists are independent.
+    per gate op, with no allocation; the explicit graph (kinds, inputs,
+    reg_next), which the tick never reads, is built on first read. Use
+    elaborate() to build one. Do not tick an instance from two threads at
+    once; distinct netlists are independent.
     """
 
-    def __init__(self, width, height, kinds, inputs, reg_next, reg_init):
+    def __init__(self, width, height, reg_init):
         self.width = width
         self.height = height
         self.n_registers = width * height
-        self.kinds = kinds          # int8 (C,), per gate node (const included)
-        self.inputs = inputs        # int32 (C, 3), node ids, -1 = unused
-        self.reg_next = reg_next    # intp (R,), node id of each register's D input
         self.reg_init = reg_init    # uint64 (height, row words), reset values
         self._compile()
         self.reset()
+
+    kinds = property(lambda self: self._graph[0])     # int8 (C,), per gate node (const included)
+    inputs = property(lambda self: self._graph[1])    # int32 (C, 3), node ids, -1 = unused
+    reg_next = property(lambda self: self._graph[2])  # intp (R,), each register's D input
+
+    @cached_property
+    def _graph(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The explicit graph; block i of the cell table is node ids const + 1 + i*n + cell."""
+        width, height, n = self.width, self.height, self.n_registers
+        const = self.const_id
+        cell = np.arange(n, dtype=np.int32).reshape(height, width)
+        kinds = np.empty(self.n_comb_nodes, dtype=np.int8)
+        inputs = np.empty((self.n_comb_nodes, 3), dtype=np.int32)
+        kinds[0] = CONST0
+        inputs[0] = -1
+        for i, (_, kind, sources) in enumerate(_BLOCKS):
+            lo = 1 + i * n
+            kinds[lo:lo + n] = kind
+            block = inputs[lo:lo + n].reshape(height, width, 3)
+            block[:, :, len(sources):] = -1
+            for col, src in enumerate(sources):
+                out = block[:, :, col]
+                if src == "self":
+                    out[...] = cell
+                elif src in _NEIGHBORS:
+                    dx, dy = _NEIGHBORS[src]
+                    out.fill(const)
+                    ys = slice(max(0, -dy), height - max(0, dy))
+                    xs = slice(max(0, -dx), width - max(0, dx))
+                    np.add(cell[ys, xs], dy * width + dx, out=out[ys, xs])
+                else:
+                    np.add(cell, const + 1 + _BLOCK_INDEX[src] * n, out=out)
+        nxt = const + 1 + (len(_BLOCKS) - 1) * n
+        return kinds, inputs, np.arange(nxt, nxt + n, dtype=np.intp)
 
     def _compile(self) -> None:
         """Preallocate the planes and turn the cell table into a list of ops.
@@ -123,9 +156,13 @@ class Netlist:
         last_bits = self.width - 64 * (rw - 1)
         self._row_mask = np.full(rw, MASK64, dtype=np.uint64)
         self._row_mask[-1] = (1 << last_bits) - 1
-        shifted = np.zeros((3, h + 2, rw), dtype=np.uint64)
+        shifted = np.empty((3, h + 2, rw), dtype=np.uint64)
         planes = np.empty((len(_BLOCKS), h, rw), dtype=np.uint64)
         scratch = np.empty((h, rw), dtype=np.uint64)
+        # Write every page now (the border rows of shifted must be zero
+        # anyway), so that the first tick does not pay the page faults.
+        for buf in (shifted, planes, scratch):
+            buf.fill(0)
         west, regs, east = shifted[:, 1:-1]
         self._regs = regs
 
@@ -167,7 +204,7 @@ class Netlist:
 
     @property
     def n_comb_nodes(self) -> int:
-        return len(self.kinds)
+        return 1 + len(_BLOCKS) * self.n_registers
 
     @property
     def const_id(self) -> int:
@@ -187,9 +224,7 @@ class Netlist:
 
     def registers(self) -> np.ndarray:
         """Copy of the current register values as a row-major bool array."""
-        octets = self._regs.astype("<u8").view(np.uint8)
-        bits = np.unpackbits(octets, axis=1, bitorder="little")
-        return bits[:, :self.width].astype(bool).ravel()
+        return cells(self.to_world()).astype(bool).ravel()
 
     def to_world(self, generation: int = 0) -> World:
         return World(self.width, self.height, tuple(self._regs.ravel().tolist()), generation)
@@ -230,43 +265,8 @@ def elaborate(width: int, height: int, initial: World | None = None) -> Netlist:
         raise SizeMismatch(
             f"initial world is {initial.width}x{initial.height}, netlist is {width}x{height}")
 
-    n = width * height
-    const = n  # node id of the shared constant-0
-    cells = np.arange(n, dtype=np.int32).reshape(height, width)
-
-    # Block i of the table is comb nodes 1 + i*n .. (i+1)*n, i.e. node ids
-    # const + 1 + i*n + cell. Columns are filled in place, block by block.
-    n_comb = 1 + len(_BLOCKS) * n
-    kinds = np.empty(n_comb, dtype=np.int8)
-    inputs = np.empty((n_comb, 3), dtype=np.int32)
-    kinds[0] = CONST0
-    inputs[0] = -1
-    for i, (_, kind, sources) in enumerate(_BLOCKS):
-        lo = 1 + i * n
-        kinds[lo:lo + n] = kind
-        block = inputs[lo:lo + n].reshape(height, width, 3)
-        block[:, :, len(sources):] = -1
-        for col, src in enumerate(sources):
-            out = block[:, :, col]
-            if src == "self":
-                out[...] = cells
-            elif src in _NEIGHBORS:
-                dx, dy = _NEIGHBORS[src]
-                out.fill(const)
-                ys = slice(max(0, -dy), height - max(0, dy))
-                xs = slice(max(0, -dx), width - max(0, dx))
-                np.add(cells[ys, xs], dy * width + dx, out=out[ys, xs])
-            else:
-                np.add(cells, const + 1 + _BLOCK_INDEX[src] * n, out=out)
-    nxt = const + 1 + (len(_BLOCKS) - 1) * n
-    reg_next = np.arange(nxt, nxt + n, dtype=np.intp)
-
-    rw = (width + 63) >> 6
-    if initial is None:
-        reg_init = np.zeros((height, rw), dtype=np.uint64)
-    else:
-        reg_init = np.array(initial.words, dtype=np.uint64).reshape(height, rw)
-    return Netlist(width, height, kinds, inputs, reg_next, reg_init)
+    words = (initial or World.empty(width, height)).words
+    return Netlist(width, height, np.array(words, dtype=np.uint64).reshape(height, -1))
 
 
 def count_resources(netlist: Netlist) -> tuple[int, int]:

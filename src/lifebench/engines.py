@@ -16,8 +16,10 @@ instances are independent, and Worlds move freely between threads.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import circuit as _circuit
-from .grid import World
+from .grid import World, cells, from_cells
 
 ENGINE_KINDS = ("reference", "bitsliced", "circuit")
 
@@ -41,22 +43,11 @@ def neighbor_count(world: World, x: int, y: int) -> int:
         raise OutOfBounds(f"({x},{y}) outside {world.width}x{world.height} world")
     cnt = 0
     for dy in (-1, 0, 1):
-        ny = y + dy
-        if not 0 <= ny < world.height:
-            continue
-        row = world.row_int(ny)
         for dx in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            nx = x + dx
-            if 0 <= nx < world.width:
-                cnt += (row >> nx) & 1
+            nx, ny = x + dx, y + dy
+            if (dx or dy) and 0 <= nx < world.width and 0 <= ny < world.height:
+                cnt += world.get(nx, ny)
     return cnt
-
-
-# byte value 0/1 <-> ASCII '0'/'1', for fast row packing via int(s, 2)
-_BYTES_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
-_ASCII_TO_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class ReferenceEngine:
@@ -79,19 +70,17 @@ class ReferenceEngine:
 
     def load(self, world: World) -> None:
         w, h = world.width, world.height
-        stride = w + 2
         if (w, h) != (self._width, self._height):
             self._width, self._height = w, h
-            self._cur = bytearray((h + 2) * stride)
-            self._next = bytearray((h + 2) * stride)
-        else:
-            self._cur[:] = bytes(len(self._cur))
-        cur = self._cur
-        for y in range(h):
-            bits = format(world.row_int(y), f"0{w}b")[::-1]
-            base = (y + 1) * stride + 1
-            cur[base:base + w] = bits.encode("ascii").translate(_ASCII_TO_BYTES)
+            self._cur = bytearray((h + 2) * (w + 2))
+            self._next = bytearray((h + 2) * (w + 2))
+        self._interior()[...] = cells(world)  # the halo is never written
         self._generation = world.generation
+
+    def _interior(self) -> np.ndarray:
+        """Writable (height, width) view of the current grid inside its halo."""
+        grid = np.frombuffer(self._cur, dtype=np.uint8).reshape(self._height + 2, -1)
+        return grid[1:-1, 1:-1]
 
     def step(self) -> None:
         cur = self._cur
@@ -117,15 +106,12 @@ class ReferenceEngine:
         self._generation += 1
 
     def world(self) -> World:
-        w, h = self._width, self._height
-        stride = w + 2
-        cur = self._cur
-        rows = []
-        for y in range(h):
-            base = (y + 1) * stride + 1
-            s = bytes(cur[base:base + w]).translate(_BYTES_TO_ASCII)
-            rows.append(int(s[::-1], 2))
-        return World.from_row_ints(w, h, rows, self._generation)
+        return from_cells(self._interior(), self._generation)
+
+
+def _plane_int(plane: np.ndarray) -> int:
+    """The bits of a 0/1 array, row-major, as one int (first bit lowest)."""
+    return int.from_bytes(np.packbits(plane, bitorder="little").tobytes(), "little")
 
 
 class BitSlicedEngine:
@@ -135,6 +121,8 @@ class BitSlicedEngine:
     guard column per row is always zero, so a shift by one never carries a
     row edge into its neighbor row; shifted-in bits are zero everywhere
     (the same fixed dead boundary as the halo in the reference engine).
+    The stride stays width + 1, the narrowest the step allows: load() and
+    world() convert a (height, width + 1) plane with int.from/to_bytes.
 
     Per step: 2-bit horizontal sums (pair for the cell's own row, triple
     for the rows above and below) are combined by full adders into the
@@ -157,18 +145,14 @@ class BitSlicedEngine:
 
     def load(self, world: World) -> None:
         w, h = world.width, world.height
+        plane = np.zeros((h, w + 1), dtype=np.uint8)  # the guard column stays 0
         if (w, h) != (self._width, self._height):
             self._width, self._height = w, h
             self._stride = w + 1
-            row = (1 << w) - 1
-            full = 0
-            for y in range(h):
-                full |= row << (y * self._stride)
-            self._full = full
-        board = 0
-        for y in range(h):
-            board |= world.row_int(y) << (y * self._stride)
-        self._board = board
+            plane[:, :w] = 1
+            self._full = _plane_int(plane)
+        plane[:, :w] = cells(world)
+        self._board = _plane_int(plane)
         self._generation = world.generation
 
     def step(self) -> None:
@@ -201,13 +185,10 @@ class BitSlicedEngine:
         self._generation += 1
 
     def world(self) -> World:
-        s = self._stride
-        board = self._board
-        # Mask each row as it is shifted out, so only one board-sized
-        # temporary is alive at a time instead of one per row.
-        row = (1 << self._width) - 1
-        rows = [(board >> (y * s)) & row for y in range(self._height)]
-        return World.from_row_ints(self._width, self._height, rows, self._generation)
+        n = self._height * self._stride
+        octets = np.frombuffer(self._board.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
+        plane = np.unpackbits(octets, count=n, bitorder="little").reshape(self._height, -1)
+        return from_cells(plane[:, :self._width], self._generation)
 
 
 class CircuitEngine:

@@ -4,9 +4,14 @@ A world is a fixed-size 2D grid of live/dead cells with a permanently dead
 boundary: every cell outside [0, width) x [0, height) reads as dead.
 Coordinates are (x right, y down) with the origin at the top left, matching
 the text order of the plaintext pattern format ('.' dead, 'O' alive).
+
+cells() and from_cells() are the one codec between a World and an (height,
+width) 0/1 array; the generator, pattern text and every engine use it.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -43,8 +48,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer: avalanche a 64-bit value."""
+def mix64(z):
+    """SplitMix64 finalizer: avalanche a 64-bit int, or each of a uint64 array."""
     z &= MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64
@@ -124,23 +129,14 @@ class World:
         rows = list(rows)
         if len(rows) != height:
             raise ValueError(f"expected {height} rows, got {len(rows)}")
-        rw = (width + 63) >> 6
-        row_mask = (1 << width) - 1
-        words = []
-        for r in rows:
-            r &= row_mask
-            for j in range(rw):
-                words.append((r >> (64 * j)) & MASK64)
-        return cls(width, height, tuple(words), generation)
+        row_mask, row_bytes = (1 << width) - 1, 8 * ((width + 63) >> 6)
+        data = b"".join((r & row_mask).to_bytes(row_bytes, "little") for r in rows)
+        return cls(width, height, tuple(np.frombuffer(data, dtype="<u8").tolist()), generation)
 
     def row_int(self, y: int) -> int:
         """Row y as one int, bit x = cell (x, y)."""
-        rw = self.row_words
-        base = y * rw
-        r = 0
-        for j in range(rw):
-            r |= self.words[base + j] << (64 * j)
-        return r
+        words = self.words[y * self.row_words:(y + 1) * self.row_words]
+        return int.from_bytes(np.array(words, dtype="<u8").tobytes(), "little")
 
     def get(self, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):
@@ -149,13 +145,9 @@ class World:
         return (w >> (x & 63)) & 1
 
     def live_cells(self):
-        """Yield (x, y) of every live cell in row-major order."""
-        for y in range(self.height):
-            r = self.row_int(y)
-            while r:
-                low = r & -r
-                yield (low.bit_length() - 1, y)
-                r ^= low
+        """Iterate over (x, y) of every live cell in row-major order."""
+        ys, xs = np.nonzero(cells(self))
+        return zip(xs.tolist(), ys.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, World):
@@ -175,11 +167,27 @@ class World:
 # ---------------------------------------------------------------------------
 
 
+def cells(world: World) -> np.ndarray:
+    """The world as an (height, width) uint8 array, 1 = alive."""
+    octets = np.fromiter(world.words, "<u8", len(world.words)).view(np.uint8)
+    rows = octets.reshape(world.height, -1)
+    return np.unpackbits(rows, axis=1, count=world.width, bitorder="little")
+
+
+def from_cells(bits, generation: int = 0) -> World:
+    """World from an (height, width) array whose nonzero entries are live."""
+    height, width = np.shape(bits)
+    octets = np.zeros((height, 8 * ((width + 63) >> 6)), dtype=np.uint8)
+    octets[:, :(width + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
+    return World(width, height, tuple(octets.view("<u8").ravel().tolist()), generation)
+
+
 def parse_pattern(text: str) -> World:
     """Parse plaintext pattern lines ('.' dead, 'O' alive) into a World.
 
     Lines are '\\n'-terminated; a single trailing newline is optional.
-    Raises RaggedLines, IllegalChar, or EmptyPattern (all PatternError).
+    Raises RaggedLines, IllegalChar or EmptyPattern (all PatternError) for
+    the first bad line.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -187,21 +195,24 @@ def parse_pattern(text: str) -> World:
     if not lines:
         raise EmptyPattern("pattern text is empty")
     width = len(lines[0])
-    rows = []
+    # Non-ASCII becomes '?', also illegal; the line loop names the original.
+    glyphs = np.frombuffer("".join(lines).encode("ascii", "replace"), dtype=np.uint8)
+    alive = glyphs == ord(ALIVE_CHAR)
+    legal = np.count_nonzero(alive | (glyphs == ord(DEAD_CHAR))) == glyphs.size
     for i, line in enumerate(lines):
         if line == "":
             raise EmptyPattern(f"line {i + 1} is empty")
         if len(line) != width:
             raise RaggedLines(
                 f"line {i + 1} has length {len(line)}, expected {width}")
-        r = 0
-        for x, ch in enumerate(line):
-            if ch == ALIVE_CHAR:
-                r |= 1 << x
-            elif ch != DEAD_CHAR:
+        if not legal:
+            ch = next((c for c in line if c not in (ALIVE_CHAR, DEAD_CHAR)), None)
+            if ch is not None:
                 raise IllegalChar(f"line {i + 1}: illegal character {ch!r}")
-        rows.append(r)
-    return World.from_row_ints(width, len(rows), rows)
+    return from_cells(alive.reshape(len(lines), width))
+
+
+_GLYPHS = np.frombuffer((DEAD_CHAR + ALIVE_CHAR).encode("ascii"), dtype=np.uint8)
 
 
 def serialize_pattern(world: World) -> str:
@@ -209,36 +220,38 @@ def serialize_pattern(world: World) -> str:
 
     parse_pattern(serialize_pattern(w)) reproduces w cell-for-cell.
     """
-    out = []
-    for y in range(world.height):
-        r = world.row_int(y)
-        out.append("".join(ALIVE_CHAR if (r >> x) & 1 else DEAD_CHAR
-                           for x in range(world.width)))
-        out.append("\n")
-    return "".join(out)
+    text = np.full((world.height, world.width + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = _GLYPHS[cells(world)]
+    return text.tobytes().decode("ascii")
+
+
+# Cells drawn per numpy pass: temporaries stay in cache at any world size.
+_DRAW_BLOCK = 1 << 14
 
 
 def random_world(width: int, height: int, density: float = 0.5, seed: int = 0) -> World:
     """World with each cell independently alive with probability `density`.
 
     Deterministic for a fixed (width, height, density, seed) on every
-    platform: cells are drawn row-major from a SplitMix64 stream.
+    platform: cells are drawn row-major from a SplitMix64 stream, the same
+    one Rng(seed) yields. Its i-th draw is mix64(seed + i * GAMMA), which
+    uint64 arithmetic computes exactly since it wraps modulo 2**64.
     """
     if width < 1 or height < 1:
         raise ValueError(f"world dimensions must be >= 1, got {width}x{height}")
     if not 0.0 <= density <= 1.0:
         raise BadDensity(f"density must be in [0, 1], got {density}")
-    rng = Rng(seed)
     threshold = int(round(density * 2.0 ** 64))
-    next_u64 = rng.next_u64
-    rows = []
-    for _y in range(height):
-        r = 0
-        for x in range(width):
-            if next_u64() < threshold:
-                r |= 1 << x
-        rows.append(r)
-    return World.from_row_ints(width, height, rows)
+    if threshold > MASK64:  # every 64-bit draw is below 2**64
+        return from_cells(np.ones((height, width), dtype=bool))
+    n = width * height
+    alive = np.empty(n, dtype=bool)
+    for lo in range(0, n, _DRAW_BLOCK):
+        draws = np.arange(lo + 1, min(n, lo + _DRAW_BLOCK) + 1, dtype=np.uint64)
+        draws *= np.uint64(_GAMMA)
+        draws += np.uint64(seed & MASK64)
+        np.less(mix64(draws), np.uint64(threshold), out=alive[lo:lo + _DRAW_BLOCK])
+    return from_cells(alive.reshape(height, width))
 
 
 def population(world: World) -> int:

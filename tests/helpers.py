@@ -4,7 +4,7 @@ import numpy as np
 
 from lifebench.circuit import AND, CONST0, NOT, OR, XOR, XOR3
 from lifebench.engines import neighbor_count, next_cell_state
-from lifebench.grid import World
+from lifebench.grid import Rng, World
 
 # Two phases of the beacon oscillator (period 2).
 BEACON_A = (
@@ -48,6 +48,21 @@ def world_from_cells(width, height, cells, generation=0):
 
 def cells_of(world):
     return set(world.live_cells())
+
+
+def random_world_oracle(width, height, density, seed):
+    """Scalar generator: one Rng draw per cell, row-major, alive below the
+    density threshold. grid.random_world must match it word for word."""
+    rng = Rng(seed)
+    threshold = int(round(density * 2.0 ** 64))
+    rows = []
+    for _y in range(height):
+        r = 0
+        for x in range(width):
+            if rng.next_u64() < threshold:
+                r |= 1 << x
+        rows.append(r)
+    return World.from_row_ints(width, height, rows)
 
 
 def naive_step(world):

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,3 +246,14 @@ def test_calibration_table_validates():
         CalibrationTable(rows)
     with pytest.raises(ValueError):
         CalibrationTable([])
+
+
+def test_elaborate_builds_no_graph_for_resources():
+    tracemalloc.start()
+    try:
+        regs, nodes = count_resources(elaborate(1000, 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (regs, nodes) == (10 ** 6, 1 + 19 * 10 ** 6)
+    assert peak < 16 * 2 ** 20

@@ -297,3 +297,21 @@ def test_report_power_override(tmp_path, capsys):
     for bad in ("lab=x", "lab=nan", "lab=inf"):
         code, _, err = run_cli(["report", "--input", f"lab={path}", "--power", bad], capsys)
         assert code == 2
+
+
+@pytest.mark.parametrize("row", [
+    "10,10,100,reference,0,100,0",        # steps = 0
+    "10,10,100,reference,1,-100,-100.0",  # negative total_ns
+    "0,10,0,reference,1,100,100.0",       # zero width
+    "10,0,0,reference,1,100,100.0",       # zero height
+    "10,10,99,reference,1,100,100.0",     # cells != width * height
+])
+def test_report_impossible_row_exit_2(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    path.write_text("width,height,cells,engine,steps,total_ns,ns_per_step\n" + row + "\n")
+    for fmt in ("csv", "md"):
+        code, out, err = run_cli(["report", "--input", f"lab={path}", "--format", fmt],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "line 2: " in err

@@ -199,3 +199,16 @@ def test_dead_frame_embedding_commutes(kind):
         for margin in (1, 3):
             big = embed(world, margin)
             assert crop(run(kind, big, 1), margin) == run(kind, world, 1)
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 129])
+def test_load_world_roundtrip(kind, width):
+    engine = make_engine(kind)
+    live = random_world(width, 3, 0.5, width).words
+    # the second load reuses the first one's buffers
+    for world in (World(width, 3, live, generation=11), World.empty(width, 3)):
+        engine.load(world)
+        back = engine.world()
+        assert back.words == world.words
+        assert back.generation == world.generation

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import BEACON_A, BEACON_B, BEACON_A_CELLS, cells_of
+from helpers import BEACON_A, BEACON_B, BEACON_A_CELLS, cells_of, random_world_oracle
 from lifebench.grid import (BadDensity, EmptyPattern, IllegalChar, RaggedLines, Rng,
-                            World, parse_pattern, population, random_world,
-                            serialize_pattern)
+                            World, cells, from_cells, parse_pattern, population,
+                            random_world, serialize_pattern)
 
 
 def test_parse_beacon():
@@ -173,3 +175,44 @@ def test_population_examples():
 def test_live_cells_row_major():
     w = parse_pattern(".O\nO.")
     assert list(w.live_cells()) == [(1, 0), (0, 1)]
+
+
+# ---------------------------------------------------------------------------
+# generator and codec against their scalar definitions
+# ---------------------------------------------------------------------------
+
+_DENSITIES = st.one_of(st.sampled_from([0.0, 1.0, 1 - 1e-18, 1e-19]),
+                       st.floats(0.0, 1.0))
+_SEEDS = st.one_of(st.sampled_from([0, 2 ** 64 - 1]), st.integers(max_value=-1),
+                   st.integers(min_value=2 ** 64), st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 130), st.integers(1, 130), _DENSITIES, _SEEDS)
+def test_random_world_matches_scalar_oracle(width, height, density, seed):
+    world = random_world(width, height, density, seed)
+    assert world.words == random_world_oracle(width, height, density, seed).words
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 129])
+def test_cells_codec_roundtrip(width):
+    world = random_world(width, 3, 0.5, width)
+    bits = cells(world)
+    assert bits.shape == (3, width)
+    assert bits.tolist() == [[world.get(x, y) for x in range(width)] for y in range(3)]
+    again = from_cells(bits, generation=9)
+    assert again == world and again.words == world.words
+    assert again.generation == 9
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("..\nX.\n.\n", IllegalChar, "line 2: illegal character 'X'"),  # before a ragged line
+    ("..\n.é\n", IllegalChar, "line 2: illegal character 'é'"),
+    ("..\n\n..\n", EmptyPattern, "line 2 is empty"),
+    ("..\n..\nO", RaggedLines, "line 3 has length 1, expected 2"),  # no trailing newline
+])
+def test_parse_first_bad_line_wins(text, error, message):
+    with pytest.raises(error) as exc:
+        parse_pattern(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
