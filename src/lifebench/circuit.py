@@ -93,7 +93,7 @@ class Netlist:
     shared constant-0 node, and ids R+1.. are gates in topological order,
     one contiguous block of R nodes per signal of the cell table.
 
-    The registers are held bit-packed in World.words layout, and a tick
+    The registers are held bit-packed in the World.data layout, and a tick
     evaluates the gate blocks one after another on uint64 planes, 64 cells
     per gate op, with no allocation; the explicit graph (kinds, inputs,
     reg_next), which the tick never reads, is built on first read. Use
@@ -105,7 +105,7 @@ class Netlist:
         self.width = width
         self.height = height
         self.n_registers = width * height
-        self.reg_init = reg_init    # uint64 (height, row words), reset values
+        self.reg_init = reg_init    # read-only <u8 (height, row words), reset values
         self._compile()
         self.reset()
 
@@ -215,11 +215,11 @@ class Netlist:
         np.bitwise_and(self.reg_init, self._row_mask, out=self._regs)
 
     def load(self, world: World) -> None:
-        """Overwrite register state with a world of matching size."""
+        """Overwrite register state with a world of matching size (one buffer copy)."""
         if (world.width, world.height) != (self.width, self.height):
             raise SizeMismatch(
                 f"netlist is {self.width}x{self.height}, world is {world.width}x{world.height}")
-        words = np.array(world.words, dtype=np.uint64).reshape(self._regs.shape)
+        words = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
         np.bitwise_and(words, self._row_mask, out=self._regs)
 
     def registers(self) -> np.ndarray:
@@ -227,7 +227,8 @@ class Netlist:
         return cells(self.to_world()).astype(bool).ravel()
 
     def to_world(self, generation: int = 0) -> World:
-        return World(self.width, self.height, tuple(self._regs.ravel().tolist()), generation)
+        data = self._regs.astype("<u8", copy=False).tobytes()
+        return World.from_bytes(self.width, self.height, data, generation)
 
     def tick(self) -> None:
         """One clock: evaluate all gate blocks from register values, then latch.
@@ -265,8 +266,8 @@ def elaborate(width: int, height: int, initial: World | None = None) -> Netlist:
         raise SizeMismatch(
             f"initial world is {initial.width}x{initial.height}, netlist is {width}x{height}")
 
-    words = (initial or World.empty(width, height)).words
-    return Netlist(width, height, np.array(words, dtype=np.uint64).reshape(height, -1))
+    data = (initial or World.empty(width, height)).data
+    return Netlist(width, height, np.frombuffer(data, dtype="<u8").reshape(height, -1))
 
 
 def count_resources(netlist: Netlist) -> tuple[int, int]:
@@ -310,22 +311,30 @@ class CalibrationTable:
     def max_cells(self) -> int:
         return self.rows[-1].cells
 
-    def exact(self, cells: int) -> CalRow | None:
-        for row in self.rows:
-            if row.cells == cells:
-                return row
-        return None
+    def model(self, cells: int, extrapolate: bool = False) -> tuple[int, float]:
+        """(LEs, min clock period) for a cell count.
 
-    def bracket(self, cells: int) -> tuple[CalRow, CalRow]:
-        """Adjacent rows with lo.cells <= cells <= hi.cells."""
-        if not self.min_cells <= cells <= self.max_cells:
-            raise OutOfRange(
-                f"{cells} cells outside calibration range "
-                f"[{self.min_cells}, {self.max_cells}]")
-        for lo, hi in zip(self.rows, self.rows[1:]):
-            if lo.cells <= cells <= hi.cells:
-                return lo, hi
-        raise AssertionError("unreachable")
+        LEs interpolate linearly between the bracketing rows, rounding half
+        up, and are exact at a row. The clock is the max of the bracketing
+        rows (the column is not monotonic, so no curve fit). Outside the
+        table an OutOfRange is raised unless extrapolate=True, which extends
+        the edge LE segment and reuses the edge row's clock.
+        """
+        rows = self.rows
+        if self.min_cells <= cells <= self.max_cells:
+            hi = next(row for row in rows if row.cells >= cells)
+            if hi.cells == cells:
+                return hi.les, hi.min_clock_ns
+            lo = rows[rows.index(hi) - 1]
+            clock = max(lo.min_clock_ns, hi.min_clock_ns)
+        elif extrapolate:
+            lo, hi = rows[:2] if cells < self.min_cells else rows[-2:]
+            clock = (lo if cells < self.min_cells else hi).min_clock_ns
+        else:
+            raise OutOfRange(f"{cells} cells outside calibration range "
+                             f"[{self.min_cells}, {self.max_cells}]")
+        les = lo.les + _round_half_up((cells - lo.cells) * (hi.les - lo.les), hi.cells - lo.cells)
+        return max(les, 0), clock
 
 
 @dataclass(frozen=True)
@@ -349,12 +358,7 @@ def _round_half_up(num: int, den: int) -> int:
 def calibrated_min_clock_ns(cells: int, cal: CalibrationTable | None = None) -> float:
     """Min clock period for a size: table value if listed, else the max of
     the two bracketing rows (the table is not monotonic, so no curve fit)."""
-    cal = cal or _default_calibration()
-    row = cal.exact(cells)
-    if row is not None:
-        return row.min_clock_ns
-    lo, hi = cal.bracket(cells)
-    return max(lo.min_clock_ns, hi.min_clock_ns)
+    return (cal or _default_calibration()).model(cells)[1]
 
 
 def estimate_resources(width: int, height: int, cal: CalibrationTable | None = None,
@@ -362,36 +366,13 @@ def estimate_resources(width: int, height: int, cal: CalibrationTable | None = N
     """Model registers, LEs, and min clock period for a world size.
 
     Registers are cells + REGISTER_OVERHEAD (exact on every calibration
-    row). LEs interpolate linearly between calibration rows, rounding half
-    up, and are exact at the rows. Outside the calibration range an
-    OutOfRange is raised unless extrapolate=True, which extends the edge
-    LE segment and reuses the edge clock value (a rough guess, since large
-    designs may not route the same way).
+    row); LEs and the clock come from CalibrationTable.model. Outside the
+    calibration range an OutOfRange is raised unless extrapolate=True (a
+    rough guess, since large designs may not route the same way).
     """
-    cal = cal or _default_calibration()
     cells = width * height
-    registers = cells + REGISTER_OVERHEAD
-
-    if cells < cal.min_cells or cells > cal.max_cells:
-        if not extrapolate:
-            raise OutOfRange(
-                f"{width}x{height} = {cells} cells outside calibration range "
-                f"[{cal.min_cells}, {cal.max_cells}]; pass extrapolate=True to force")
-        if cells < cal.min_cells:
-            lo, hi = cal.rows[0], cal.rows[1]
-            edge = cal.rows[0]
-        else:
-            lo, hi = cal.rows[-2], cal.rows[-1]
-            edge = cal.rows[-1]
-        les = lo.les + _round_half_up((cells - lo.cells) * (hi.les - lo.les),
-                                      hi.cells - lo.cells)
-        return ResourceEstimate(width, height, registers, max(les, 0), edge.min_clock_ns)
-
-    row = cal.exact(cells)
-    if row is not None:
-        return ResourceEstimate(width, height, registers, row.les, row.min_clock_ns)
-    lo, hi = cal.bracket(cells)
-    les = lo.les + _round_half_up((cells - lo.cells) * (hi.les - lo.les),
-                                  hi.cells - lo.cells)
-    return ResourceEstimate(width, height, registers, les,
-                            max(lo.min_clock_ns, hi.min_clock_ns))
+    try:
+        les, clock = (cal or _default_calibration()).model(cells, extrapolate)
+    except OutOfRange as exc:
+        raise OutOfRange(f"{width}x{height} = {exc}; pass extrapolate=True to force") from None
+    return ResourceEstimate(width, height, cells + REGISTER_OVERHEAD, les, clock)

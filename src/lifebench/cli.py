@@ -290,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bench CSV for one device; repeatable")
     p.add_argument("--published", action="store_true",
                    help="include the packaged published device timings")
-    p.add_argument("--fpga-model", choices=("calibration",), default="calibration",
-                   help="FPGA time model (min clock period from the calibration table)")
     p.add_argument("--format", choices=("md", "csv"), default="md")
     p.add_argument("--plot-data", metavar="PREFIX",
                    help="write PREFIX_<device>.csv plot-data files")

@@ -5,8 +5,9 @@ boundary: every cell outside [0, width) x [0, height) reads as dead.
 Coordinates are (x right, y down) with the origin at the top left, matching
 the text order of the plaintext pattern format ('.' dead, 'O' alive).
 
-cells() and from_cells() are the one codec between a World and an (height,
-width) 0/1 array; the generator, pattern text and every engine use it.
+A World's cells are one immutable bytes object, World.data. cells() and
+from_cells() are the one codec between it and an (height, width) 0/1
+array; the generator, pattern text and every engine use it.
 """
 
 from __future__ import annotations
@@ -90,26 +91,49 @@ class Rng:
 class World:
     """Bit-packed grid of cells. 1 = alive, 0 = dead.
 
-    Cells are packed LSB-first into 64-bit words, row-major, each row
-    padded to a whole number of words. Padding bits are always zero, which
-    makes equality a plain word-vector compare.
+    `data` is one immutable bytes object: the cells packed LSB-first into
+    little-endian 64-bit words, row-major, each row padded to a whole number
+    of words. Padding bits are always zero, which makes equality a plain
+    bytes compare. `words` is the same store as a tuple of ints.
 
     Worlds are immutable once constructed; engines build new ones. Equality
     compares dimensions and cells only, not the generation counter.
     """
 
-    __slots__ = ("width", "height", "generation", "words")
+    __slots__ = ("width", "height", "generation", "data")
 
     def __init__(self, width: int, height: int, words: tuple[int, ...], generation: int = 0):
+        """World from packed words; each must lie in [0, 2**64) with its row's padding bits zero."""
+        try:
+            data = np.array(words, dtype="<u8").tobytes()
+        except OverflowError:
+            raise ValueError("world words must lie in [0, 2**64)") from None
+        self._set(width, height, data, generation)
+        last = np.frombuffer(data, dtype="<u8")[self.row_words - 1::self.row_words]
+        if np.any(last >> np.uint64((width - 1) & 63) > 1):
+            raise ValueError(f"world words set padding bits at x >= width {width}")
+
+    @classmethod
+    def from_bytes(cls, width: int, height: int, data: bytes, generation: int = 0) -> "World":
+        """World over `data` in the packed layout; its padding bits must be zero (not checked)."""
+        world = cls.__new__(cls)
+        world._set(width, height, bytes(data), generation)
+        return world
+
+    def _set(self, width, height, data, generation):
         if width < 1 or height < 1:
             raise ValueError(f"world dimensions must be >= 1, got {width}x{height}")
-        rw = (width + 63) >> 6
-        if len(words) != height * rw:
-            raise ValueError(f"expected {height * rw} words for {width}x{height}, got {len(words)}")
+        n = height * ((width + 63) >> 6)
+        if len(data) != 8 * n:
+            raise ValueError(f"expected {n} words for {width}x{height}, got {len(data) / 8:g}")
         self.width = width
         self.height = height
         self.generation = generation
-        self.words = words
+        self.data = data
+
+    @property
+    def words(self) -> tuple[int, ...]:
+        return tuple(np.frombuffer(self.data, dtype="<u8").tolist())
 
     @property
     def row_words(self) -> int:
@@ -117,8 +141,7 @@ class World:
 
     @classmethod
     def empty(cls, width: int, height: int) -> "World":
-        rw = (width + 63) >> 6
-        return cls(width, height, (0,) * (height * rw))
+        return cls.from_bytes(width, height, bytes(8 * height * ((width + 63) >> 6)))
 
     @classmethod
     def from_row_ints(cls, width: int, height: int, rows, generation: int = 0) -> "World":
@@ -131,18 +154,17 @@ class World:
             raise ValueError(f"expected {height} rows, got {len(rows)}")
         row_mask, row_bytes = (1 << width) - 1, 8 * ((width + 63) >> 6)
         data = b"".join((r & row_mask).to_bytes(row_bytes, "little") for r in rows)
-        return cls(width, height, tuple(np.frombuffer(data, dtype="<u8").tolist()), generation)
+        return cls.from_bytes(width, height, data, generation)
 
     def row_int(self, y: int) -> int:
         """Row y as one int, bit x = cell (x, y)."""
-        words = self.words[y * self.row_words:(y + 1) * self.row_words]
-        return int.from_bytes(np.array(words, dtype="<u8").tobytes(), "little")
+        row_bytes = 8 * self.row_words
+        return int.from_bytes(self.data[y * row_bytes:(y + 1) * row_bytes], "little")
 
     def get(self, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise IndexError(f"cell ({x},{y}) outside {self.width}x{self.height} world")
-        w = self.words[y * self.row_words + (x >> 6)]
-        return (w >> (x & 63)) & 1
+        return (self.data[8 * y * self.row_words + (x >> 3)] >> (x & 7)) & 1
 
     def live_cells(self):
         """Iterate over (x, y) of every live cell in row-major order."""
@@ -153,10 +175,10 @@ class World:
         if not isinstance(other, World):
             return NotImplemented
         return (self.width == other.width and self.height == other.height
-                and self.words == other.words)
+                and self.data == other.data)
 
     def __hash__(self):
-        return hash((self.width, self.height, self.words))
+        return hash((self.width, self.height, self.data))
 
     def __repr__(self):
         return f"<World {self.width}x{self.height} gen={self.generation} pop={population(self)}>"
@@ -169,8 +191,7 @@ class World:
 
 def cells(world: World) -> np.ndarray:
     """The world as an (height, width) uint8 array, 1 = alive."""
-    octets = np.fromiter(world.words, "<u8", len(world.words)).view(np.uint8)
-    rows = octets.reshape(world.height, -1)
+    rows = np.frombuffer(world.data, dtype=np.uint8).reshape(world.height, -1)
     return np.unpackbits(rows, axis=1, count=world.width, bitorder="little")
 
 
@@ -179,7 +200,7 @@ def from_cells(bits, generation: int = 0) -> World:
     height, width = np.shape(bits)
     octets = np.zeros((height, 8 * ((width + 63) >> 6)), dtype=np.uint8)
     octets[:, :(width + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
-    return World(width, height, tuple(octets.view("<u8").ravel().tolist()), generation)
+    return World.from_bytes(width, height, octets.tobytes(), generation)
 
 
 def parse_pattern(text: str) -> World:
@@ -256,4 +277,4 @@ def random_world(width: int, height: int, density: float = 0.5, seed: int = 0) -
 
 def population(world: World) -> int:
     """Number of live cells."""
-    return sum(w.bit_count() for w in world.words)
+    return int.from_bytes(world.data, "little").bit_count()

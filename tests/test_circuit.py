@@ -8,8 +8,8 @@ import pytest
 
 from helpers import BEACON_A, BEACON_B, cells_of, tick_in_order
 from lifebench.circuit import (CONST0, KIND_NAMES, CalRow, CalibrationTable, OutOfRange,
-                               REGISTER_OVERHEAD, SizeMismatch, count_resources,
-                               elaborate, estimate_resources)
+                               REGISTER_OVERHEAD, SizeMismatch, calibrated_min_clock_ns,
+                               count_resources, elaborate, estimate_resources)
 from lifebench.grid import World, parse_pattern, random_world
 from lifebench.refdata import load_calibration
 
@@ -238,6 +238,33 @@ def test_estimate_extrapolation_flag():
     big = estimate_resources(110, 110, extrapolate=True)
     assert big.registers == 12104
     assert big.les > 97871
+
+
+# (cells, LEs, min clock ns) at every calibration row and bracket midpoint,
+# then extrapolated below and above the table; computed before the
+# interpolation was folded into CalibrationTable.model.
+_PINNED_ESTIMATES = (
+    (100, 804, 4.0), (250, 2172, 4.0), (400, 3539, 4.0), (650, 5767, 4.1),
+    (900, 7995, 4.1), (1250, 11229, 4.1), (1600, 14463, 4.0), (2050, 18951, 4.4),
+    (2500, 23439, 4.4), (3050, 28927, 4.5), (3600, 34414, 4.5), (4250, 39767, 4.5),
+    (4900, 45119, 4.0), (5650, 52128, 4.7), (6400, 59136, 4.7), (7250, 67119, 4.7),
+    (8100, 75102, 4.5), (9050, 86487, 4.8), (10000, 97871, 4.8),
+)
+_PINNED_EXTRAPOLATED = ((1, 0, 4.0), (25, 120, 4.0), (12100, 123037, 4.8), (50000, 577218, 4.8))
+
+
+def test_estimate_pinned():
+    for cells, les, clock in _PINNED_ESTIMATES:
+        est = estimate_resources(cells, 1)
+        assert (est.les, est.min_clock_ns) == (les, clock)
+        assert calibrated_min_clock_ns(cells) == clock
+    for cells, les, clock in _PINNED_EXTRAPOLATED:
+        est = estimate_resources(cells, 1, extrapolate=True)
+        assert (est.registers, est.les, est.min_clock_ns) == (cells + 4, les, clock)
+        with pytest.raises(OutOfRange, match=f"{cells}x1 = {cells} cells outside"):
+            estimate_resources(cells, 1)
+        with pytest.raises(OutOfRange):
+            calibrated_min_clock_ns(cells)
 
 
 def test_calibration_table_validates():

@@ -212,3 +212,16 @@ def test_load_world_roundtrip(kind, width):
         back = engine.world()
         assert back.words == world.words
         assert back.generation == world.generation
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+def test_world_readback_is_not_a_view(kind):
+    engine = make_engine(kind, random_world(70, 6, 0.5, 3))
+    out = engine.world()
+    assert type(out.data) is bytes
+    data, words = out.data, out.words
+    engine.step()
+    engine.load(random_world(70, 6, 0.5, 4))
+    engine.step()
+    assert (out.data, out.words) == (data, words)
+    assert out == World(70, 6, words)

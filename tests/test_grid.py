@@ -166,6 +166,65 @@ def test_from_row_ints_masks_stray_bits():
     assert population(w) == 2
 
 
+@pytest.mark.parametrize("words", [(0b1111,), (-1,), (1 << 70,)])
+def test_world_rejects_bad_words(words):
+    with pytest.raises(ValueError):
+        World(2, 1, words)
+
+
+def test_world_accepts_full_last_word():
+    assert population(World(64, 1, (2 ** 64 - 1,))) == 64
+    assert population(World(65, 1, (2 ** 64 - 1, 1))) == 65
+    with pytest.raises(ValueError):
+        World(65, 1, (0, 2))
+
+
+def test_world_data_is_bytes():
+    world = random_world(70, 3, 0.5, 1)
+    for w in (world, World(70, 3, world.words), World.from_bytes(70, 3, bytearray(world.data)),
+              World.empty(3, 2), World.from_row_ints(3, 1, [5]), parse_pattern("O.\n.O"),
+              from_cells(cells(world))):
+        assert type(w.data) is bytes
+        assert len(w.data) == 8 * w.height * w.row_words
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 129])
+def test_bytes_and_words_constructors_agree(width):
+    world = random_world(width, 4, 0.5, width)
+    assert World.from_bytes(width, 4, world.data, 3) == world
+    assert World(width, 4, world.words) == world
+    assert world.words == tuple(int.from_bytes(world.data[i:i + 8], "little")
+                                for i in range(0, len(world.data), 8))
+    with pytest.raises(ValueError):
+        World.from_bytes(width, 4, world.data[:-1])
+
+
+def test_get_agrees_with_cells():
+    world = random_world(130, 4, 0.5, 2)
+    bits = cells(world)
+    for y in range(4):
+        for x in (0, 7, 8, 63, 64, 65, 129):
+            assert world.get(x, y) == bits[y, x]
+
+
+def test_hash_and_eq_agree_with_words():
+    worlds = [random_world(65, 2, d, s) for d in (0.0, 0.5) for s in (1, 2)]
+    worlds += [World(65, 2, w.words, generation=5) for w in worlds]
+    for a in worlds:
+        for b in worlds:
+            same = (a.width, a.height, a.words) == (b.width, b.height, b.words)
+            assert (a == b) is same
+            if same:
+                assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 129])
+def test_population_counts_cells(width):
+    for density in (0.0, 0.3, 1.0):
+        world = random_world(width, 5, density, width)
+        assert population(world) == cells(world).sum()
+
+
 def test_population_examples():
     assert population(parse_pattern(BEACON_A)) == 6
     assert population(parse_pattern(BEACON_B)) == 8
