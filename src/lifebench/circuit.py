@@ -5,9 +5,12 @@ registers, and rule logic on the 4-bit sum, written once as a table of gate
 blocks. A Netlist replicates the table into an explicit node graph, built
 on first read, in which neighbor inputs that would fall outside the grid
 are wired to a constant-0 node. The whole world updates on every clock
-tick: the gate blocks are evaluated one after another from the current
-register values on bit-packed uint64 planes, 64 cells per gate op and with
-no allocation, and then every register latches at once.
+tick. The tick runs the table compiled the way synthesis would: XOR3/MAJ3
+pairs share their a ^ b, gate planes are reused once their last reader is
+done, NOT is masked so that the D inputs latch straight into the registers,
+and the neighbor shifts carry across words in contiguous 1-D ops. It
+evaluates bit-packed uint64 planes, 64 cells per gate op, with no
+allocation, and then every register latches at once.
 
 Resource estimation is separate from the netlist: registers and LEs for a
 given world size are modeled from a calibration table of synthesis results
@@ -16,7 +19,7 @@ given world size are modeled from a calibration table of synthesis results
 
 from __future__ import annotations
 
-import sys
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,6 +89,53 @@ _BLOCK_INDEX = {name: i for i, (name, _, _) in enumerate(_BLOCKS)}
 _BINARY_UFUNCS = {AND: np.bitwise_and, OR: np.bitwise_or, XOR: np.bitwise_xor}
 
 
+def _schedule():
+    """The size-independent half of Netlist._compile: the gate steps of a tick.
+
+    Returns (steps, n_planes). A step is (ufunc, operands) over symbolic
+    operands: "self" (the registers, which the last block writes), a
+    neighbor name, "mask", or the index of one of n_planes gate planes.
+    """
+    last = {}  # signal, or the (a, b) of a shared XOR, -> index of its last reader
+    for i, (_, kind, sources) in enumerate(_BLOCKS):
+        last.update((src, i) for src in sources)
+        if kind in (XOR3, MAJ3):
+            last[sources[:2]] = i
+    steps, value, free = [], {}, []
+    fresh = itertools.count()
+
+    def take():
+        return free.pop() if free else next(fresh)
+
+    for i, (name, kind, sources) in enumerate(_BLOCKS):
+        a, *rest = (value.get(src, src) for src in sources)
+        if kind in (XOR3, MAJ3):
+            pair = sources[:2]
+            if pair not in value:
+                value[pair] = take()
+                steps.append((np.bitwise_xor, (a, rest[0], value[pair])))
+            t = value[pair]
+        free += [value.pop(src) for src in sources if last[src] == i and src in value]
+        out = "self" if i == len(_BLOCKS) - 1 else take()
+        if kind == NOT:
+            steps.append((np.bitwise_xor, (a, "mask", out)))
+        elif kind == XOR3:
+            steps.append((np.bitwise_xor, (t, rest[1], out)))
+        elif kind == MAJ3:
+            b, c = rest
+            steps += [(np.bitwise_and, (t, c, t)), (np.bitwise_and, (a, b, out)),
+                      (np.bitwise_or, (out, t, out))]
+        else:
+            steps.append((_BINARY_UFUNCS[kind], (a, *rest, out)))
+        if kind in (XOR3, MAJ3) and last[pair] == i:
+            free.append(value.pop(pair))
+        value[name] = out
+    return steps, next(fresh)
+
+
+_STEPS, _N_PLANES = _schedule()
+
+
 class Netlist:
     """Explicit register + gate graph for one world size.
 
@@ -93,12 +143,14 @@ class Netlist:
     shared constant-0 node, and ids R+1.. are gates in topological order,
     one contiguous block of R nodes per signal of the cell table.
 
-    The registers are held bit-packed in the World.data layout, and a tick
-    evaluates the gate blocks one after another on uint64 planes, 64 cells
-    per gate op, with no allocation; the explicit graph (kinds, inputs,
-    reg_next), which the tick never reads, is built on first read. Use
-    elaborate() to build one. Do not tick an instance from two threads at
-    once; distinct netlists are independent.
+    The registers are held bit-packed in the World.data layout, with one
+    zero guard word after each row. A tick runs the list of ufunc calls
+    that _compile makes from the cell table in four passes (contiguous
+    carries, shared XOR, plane liveness, masked NOT), 64 cells per op and
+    with no allocation. The explicit graph (kinds, inputs, reg_next), which
+    the tick never reads, is built on first read; describe() reports the
+    structure without it. Use elaborate() to build one. Do not tick an
+    instance from two threads at once; distinct netlists are independent.
     """
 
     def __init__(self, width, height, reg_init):
@@ -144,63 +196,63 @@ class Netlist:
         return kinds, inputs, np.arange(nxt, nxt + n, dtype=np.intp)
 
     def _compile(self) -> None:
-        """Preallocate the planes and turn the cell table into a list of ops.
+        """Compile the cell table into one list of ufunc calls, as synthesis would.
 
+        A plane holds one bit per cell: each row of rw words is followed by
+        one guard word, and it is evaluated as one flat 1-D array.
         shifted[dx + 1] holds the registers shifted so that bit x of a row
         is cell x + dx, between an all-zero row above and below (the dead
-        boundary), so each neighbor input is a row-offset view of it. The
-        registers themselves are the interior of shifted[1].
+        boundary), so each neighbor input is a flat offset view of it. The
+        registers are the interior of shifted[1], with zero guard words.
+        Four passes over the table, all for one tick path. The last three
+        depend on the table alone, so _schedule makes them once, over
+        symbolic operands, and _compile binds those to this size's planes.
+
+        * Contiguous carries. The west and east shifts, and the bit each
+          carries across a word boundary, are 1-D ops over the flat
+          interior. No carry crosses a row, because the guard word is 0.
+        * Shared XOR. An XOR3/MAJ3 pair with the same first two inputs
+          computes t = a ^ b once: sum = t ^ c, carry = (a & b) | (t & c).
+          The carry half is t's last reader in the table, so t & c is
+          computed in place.
+        * Plane liveness. Each block's output plane is taken from a free
+          list, and goes back to it after the block's last reader. A block
+          reads all its inputs before its first write to its output, so the
+          output may reuse the plane of an input that dies there.
+        * Masked NOT. NOT is x ^ mask, with mask zero on padding bits and
+          guard words. There a neighbor input holds at most the three cells
+          of one edge column, so ge4 is 0, lt4 = ge4 ^ 0 is 0, and so is
+          next: it writes straight into the registers, keeping their
+          padding and guard words 0.
         """
         h = self.height
         rw = (self.width + 63) >> 6
-        last_bits = self.width - 64 * (rw - 1)
-        self._row_mask = np.full(rw, MASK64, dtype=np.uint64)
-        self._row_mask[-1] = (1 << last_bits) - 1
-        shifted = np.empty((3, h + 2, rw), dtype=np.uint64)
-        planes = np.empty((len(_BLOCKS), h, rw), dtype=np.uint64)
-        scratch = np.empty((h, rw), dtype=np.uint64)
-        # Write every page now (the border rows of shifted must be zero
-        # anyway), so that the first tick does not pay the page faults.
-        for buf in (shifted, planes, scratch):
-            buf.fill(0)
-        west, regs, east = shifted[:, 1:-1]
-        self._regs = regs
+        stride = rw + 1
+        size = h * stride
+        self._mask = np.zeros((h, stride), dtype=np.uint64)
+        self._mask[:, :rw] = MASK64
+        self._mask[:, rw - 1] = (1 << (self.width - 64 * (rw - 1))) - 1
+        # np.full writes every page now, so the first tick does not pay
+        # the page faults; the border rows and guard words must be 0.
+        shifted = np.full((3, h + 2, stride), 0, dtype=np.uint64)
+        flat = shifted.reshape(3, -1)
+        west, regs, east = flat[:, stride:-stride]
+        self._regs = shifted[1, 1:-1, :rw]
+        self._planes = np.full((_N_PLANES, size), 0, dtype=np.uint64)
 
         one, top = np.uint64(1), np.uint64(63)
         ops = [(np.left_shift, (regs, one, west)),
                (np.right_shift, (regs, one, east))]
         if rw > 1:  # carry the bit that crosses each word boundary
-            carry = np.empty((h, rw - 1), dtype=np.uint64)
-            ops += [(np.right_shift, (regs[:, :-1], top, carry)),
-                    (np.bitwise_or, (west[:, 1:], carry, west[:, 1:])),
-                    (np.left_shift, (regs[:, 1:], top, carry)),
-                    (np.bitwise_or, (east[:, :-1], carry, east[:, :-1]))]
-
-        def plane(src):
-            if src == "self":
-                return regs
-            if src in _NEIGHBORS:
-                dx, dy = _NEIGHBORS[src]
-                return shifted[dx + 1, 1 + dy:1 + dy + h]
-            return planes[_BLOCK_INDEX[src]]
-
-        for out, (_, kind, sources) in zip(planes, _BLOCKS):
-            a, *rest = (plane(s) for s in sources)
-            if kind == NOT:
-                ops.append((np.invert, (a, out)))
-            elif kind == XOR3:
-                b, c = rest
-                ops += [(np.bitwise_xor, (a, b, out)), (np.bitwise_xor, (out, c, out))]
-            elif kind == MAJ3:  # ab | c(a ^ b)
-                b, c = rest
-                ops += [(np.bitwise_and, (a, b, out)), (np.bitwise_xor, (a, b, scratch)),
-                        (np.bitwise_and, (scratch, c, scratch)),
-                        (np.bitwise_or, (out, scratch, out))]
-            else:
-                ops.append((_BINARY_UFUNCS[kind], (a, *rest, out)))
-        # Latch: bits past the row end may be set (NOT, shifts); drop them.
-        ops.append((np.bitwise_and, (planes[-1], self._row_mask, regs)))
-        self._ops = ops
+            carry = self._planes[0][:-1]  # no gate plane is live yet
+            ops += [(np.right_shift, (regs[:-1], top, carry)),
+                    (np.bitwise_or, (west[1:], carry, west[1:])),
+                    (np.left_shift, (regs[1:], top, carry)),
+                    (np.bitwise_or, (east[:-1], carry, east[:-1]))]
+        operand = {src: flat[dx + 1, (1 + dy) * stride:(1 + dy) * stride + size]
+                   for src, (dx, dy) in _NEIGHBORS.items()}
+        operand.update(enumerate(self._planes), self=regs, mask=self._mask.reshape(-1))
+        self._ops = ops + [(ufunc, tuple(operand[arg] for arg in args)) for ufunc, args in _STEPS]
 
     @property
     def n_comb_nodes(self) -> int:
@@ -212,7 +264,7 @@ class Netlist:
 
     def reset(self) -> None:
         """Latch the reset pattern into the registers."""
-        np.bitwise_and(self.reg_init, self._row_mask, out=self._regs)
+        np.bitwise_and(self.reg_init, self._mask[:, :-1], out=self._regs)
 
     def load(self, world: World) -> None:
         """Overwrite register state with a world of matching size (one buffer copy)."""
@@ -220,7 +272,7 @@ class Netlist:
             raise SizeMismatch(
                 f"netlist is {self.width}x{self.height}, world is {world.width}x{world.height}")
         words = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
-        np.bitwise_and(words, self._row_mask, out=self._regs)
+        np.bitwise_and(words, self._mask[:, :-1], out=self._regs)
 
     def registers(self) -> np.ndarray:
         """Copy of the current register values as a row-major bool array."""
@@ -240,16 +292,22 @@ class Netlist:
         for op, args in self._ops:
             op(*args)
 
-    def dump(self, out=None) -> None:
-        """Debug listing, one line per node: NODE <id> <kind> <inputs...>."""
-        out = out if out is not None else sys.stdout
-        for rid in range(self.n_registers):
-            out.write(f"NODE {rid} REG {self.reg_next[rid]}\n")
-        base = self.n_registers
-        for k in range(self.n_comb_nodes):
-            kind = self.kinds[k]
-            ins = " ".join(str(i) for i in self.inputs[k] if i >= 0)
-            out.write(f"NODE {base + k} {KIND_NAMES[kind]}{' ' if ins else ''}{ins}\n")
+    def describe(self) -> dict:
+        """The netlist's structure, from the cell table and the compiled tick.
+
+        nodes: node count per kind in the explicit graph (REG for the
+        registers), which is not built; depth: logic depth in gate levels
+        from the registers to their D inputs; ops_per_tick: ufunc calls per
+        clock; plane_bytes: bytes of the gate planes the tick evaluates
+        into, the NOT mask included (not the registers and their shifts).
+        """
+        nodes = {"REG": self.n_registers, **dict.fromkeys(KIND_NAMES, 0), "CONST0": 1}
+        level = dict.fromkeys(("self", *_NEIGHBORS), 0)
+        for name, kind, sources in _BLOCKS:
+            nodes[KIND_NAMES[kind]] += self.n_registers
+            level[name] = 1 + max(level[src] for src in sources)
+        return {"nodes": nodes, "depth": max(level.values()), "ops_per_tick": len(self._ops),
+                "plane_bytes": self._mask.nbytes + self._planes.nbytes}
 
 
 def elaborate(width: int, height: int, initial: World | None = None) -> Netlist:

@@ -103,9 +103,11 @@ class World:
     __slots__ = ("width", "height", "generation", "data")
 
     def __init__(self, width: int, height: int, words: tuple[int, ...], generation: int = 0):
-        """World from packed words; each must lie in [0, 2**64) with its row's padding bits zero."""
+        """World from packed words: integers in [0, 2**64), with each row's padding bits zero."""
+        if not all(issubclass(kind, (int, np.integer)) for kind in set(map(type, words))):
+            raise ValueError("world words must be integers")
         try:
-            data = np.array(words, dtype="<u8").tobytes()
+            data = np.array(list(map(int, words)), dtype="<u8").tobytes()  # int(): no numpy wrap-around
         except OverflowError:
             raise ValueError("world words must lie in [0, 2**64)") from None
         self._set(width, height, data, generation)

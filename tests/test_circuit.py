@@ -1,6 +1,4 @@
 import hashlib
-import io
-import re
 import tracemalloc
 
 import numpy as np
@@ -160,10 +158,11 @@ def test_load_size_mismatch():
 
 def test_tick_order_insensitive():
     # Latching must not depend on the order combinational nodes settle.
-    # 70 columns straddle a word, so the packed tick's cross-word carry is
-    # checked against the explicit graph too.
+    # 70 and 128 columns straddle a word, so the packed tick's cross-word
+    # carry is checked against the explicit graph too; 64 and 128 fill their
+    # last word, so a cell shifted into the row's guard word would show.
     rng = np.random.default_rng(9)
-    for width, height in [(4, 4), (70, 3)]:
+    for width, height in [(4, 4), (70, 3), (64, 3), (128, 2)]:
         world = random_world(width, height, 0.5, 12)
         n = elaborate(width, height)
         n.load(world)
@@ -180,19 +179,26 @@ def test_tick_order_insensitive():
             assert np.array_equal(n.registers(), expected)
 
 
-def test_dump_format():
-    n = elaborate(2, 2)
-    buf = io.StringIO()
-    n.dump(buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == n.n_registers + n.n_comb_nodes
-    pattern = re.compile(r"^NODE (\d+) (REG|" + "|".join(KIND_NAMES) + r")((?: \d+)*)$")
-    seen = set()
-    for line in lines:
-        m = pattern.match(line)
-        assert m, line
-        seen.add(int(m.group(1)))
-    assert seen == set(range(n.n_registers + n.n_comb_nodes))
+def test_describe_pinned():
+    for width, height in [(2, 2), (70, 3)]:
+        n = elaborate(width, height)
+        r = n.n_registers
+        info = n.describe()
+        assert info["nodes"] == {"REG": r, "CONST0": 1, "AND": 5 * r, "OR": 2 * r, "NOT": r,
+                                 "XOR": 3 * r, "XOR3": 4 * r, "MAJ3": 4 * r}
+        assert sum(info["nodes"].values()) == r + n.n_comb_nodes
+        for name, count in info["nodes"].items():
+            if name != "REG":
+                assert np.count_nonzero(n.kinds == KIND_NAMES.index(name)) == count
+        assert info["depth"] == 8 == comb_level(n).max()
+    # 2 shifts, 4 pairs of XOR3/MAJ3 at 5 ops each and 11 other gates; plus
+    # 4 carry ops when a row spans more than one word.
+    for width in (1, 64):
+        assert elaborate(width, 5).describe()["ops_per_tick"] == 33
+    for width in (65, 1000):
+        assert elaborate(width, 5).describe()["ops_per_tick"] == 37
+    plane = 1000 * 16 * 8  # one uint64 plane of a 1000x1000 world
+    assert elaborate(1000, 1000).describe()["plane_bytes"] <= 10 * plane
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +171,32 @@ def test_from_row_ints_masks_stray_bits():
 def test_world_rejects_bad_words(words):
     with pytest.raises(ValueError):
         World(2, 1, words)
+
+
+@pytest.mark.parametrize("words", [(1.5, 0), (0, 1.0), (np.float64(1), 0)])
+def test_world_rejects_float_words(words):
+    with pytest.raises(ValueError, match="must be integers"):
+        World(65, 1, words)
+
+
+@pytest.mark.parametrize("words", [("3", 0), (0, "1"), (b"1", 0)])
+def test_world_rejects_string_words(words):
+    with pytest.raises(ValueError, match="must be integers"):
+        World(65, 1, words)
+
+
+@pytest.mark.parametrize("word", [np.int64(-1), np.int8(-1)])
+def test_world_rejects_negative_numpy_words(word):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        World(64, 1, (word,))
+
+
+def test_world_accepts_numpy_integer_words():
+    world = random_world(70, 3, 0.5, 2)
+    as_numpy = tuple(np.uint64(w) for w in world.words)
+    assert World(70, 3, as_numpy) == world
+    assert World(65, 1, (np.uint64(2 ** 64 - 1), np.int8(1))).words == (2 ** 64 - 1, 1)
+    assert World(65, 1, (2 ** 64 - 1, 1)).words == (2 ** 64 - 1, 1)
 
 
 def test_world_accepts_full_last_word():
