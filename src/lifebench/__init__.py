@@ -1,23 +1,20 @@
-"""lifebench: Game of Life step engines, benchmarks, and FPGA cost models."""
+"""lifebench: Game of Life step engines, benchmarks, and FPGA cost models.
 
-from .bench import (BenchConfig, BenchSample, FakeClock, RegressionFit, fpga_time_model,
-                    linear_fit, run_bench, samples_to_csv, speedup)
-from .circuit import (CalibrationTable, Netlist, ResourceEstimate, count_resources,
-                      elaborate, estimate_resources)
-from .energy import (EnergyEstimate, PowerProfile, comparison_table, energy_per_step,
-                     energy_ratio, format_energy)
-from .engines import (ENGINE_KINDS, make_engine, neighbor_count, next_cell_state, run,
-                      step_bitsliced, step_circuit, step_reference)
+The FPGA model (lifebench.refdata) and the comparison tables
+(lifebench.energy) read the packaged data; import them from there.
+"""
+
+from .bench import (BenchConfig, BenchSample, RegressionFit, linear_fit, run_bench,
+                    samples_to_csv, speedup)
+from .circuit import Netlist, count_resources, elaborate
+from .engines import ENGINE_KINDS, make_engine, run
 from .grid import Rng, World, parse_pattern, population, random_world, serialize_pattern
 
 __all__ = [
-    "BenchConfig", "BenchSample", "CalibrationTable", "ENGINE_KINDS", "EnergyEstimate",
-    "FakeClock", "Netlist", "PowerProfile", "RegressionFit", "ResourceEstimate", "Rng",
-    "World", "comparison_table", "count_resources", "elaborate", "energy_per_step",
-    "energy_ratio", "estimate_resources", "format_energy", "fpga_time_model",
-    "linear_fit", "make_engine", "neighbor_count", "next_cell_state", "parse_pattern",
-    "population", "random_world", "run", "run_bench", "samples_to_csv",
-    "serialize_pattern", "speedup", "step_bitsliced", "step_circuit", "step_reference",
+    "BenchConfig", "BenchSample", "ENGINE_KINDS", "Netlist", "RegressionFit",
+    "Rng", "World", "count_resources", "elaborate", "linear_fit", "make_engine",
+    "parse_pattern", "population", "random_world", "run", "run_bench",
+    "samples_to_csv", "serialize_pattern", "speedup",
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ import math
 import time
 from dataclasses import dataclass
 
-from . import circuit as _circuit
 from .engines import ENGINE_KINDS, make_engine
 from .grid import Rng, random_world
 
@@ -35,18 +34,6 @@ class ZeroDivisor(ZeroDivisionError):
 
 class CsvSchemaError(ValueError):
     """CSV input does not match the benchmark sample schema."""
-
-
-class FakeClock:
-    """Deterministic clock for tests: advances a fixed amount per reading."""
-
-    def __init__(self, advance_ns: int, start_ns: int = 0):
-        self.advance_ns = advance_ns
-        self.now_ns = start_ns
-
-    def __call__(self) -> int:
-        self.now_ns += self.advance_ns
-        return self.now_ns
 
 
 @dataclass
@@ -86,8 +73,9 @@ class BenchSample:
     def __post_init__(self):
         if min(self.width, self.height) < 1 or self.cells != self.width * self.height:
             raise ValueError(f"{self.cells} cells is not a {self.width}x{self.height} world")
-        if self.steps < 1 or self.total_ns < 0:
-            raise ValueError(f"need steps >= 1, total_ns >= 0, got {self.steps}, {self.total_ns}")
+        if self.steps < 1 or not 0 <= self.total_ns < 2 ** 63:  # ns/step is a finite float
+            raise ValueError(f"need steps >= 1 and 0 <= total_ns < 2**63, "
+                             f"got {self.steps}, {self.total_ns}")
 
     @property
     def ns_per_step(self) -> float:
@@ -199,15 +187,29 @@ def linear_fit(points) -> RegressionFit:
     return RegressionFit(slope, intercept, min(1.0, max(0.0, r2)))
 
 
+def plot_data(samples) -> tuple[str, str | None]:
+    """Plot-data CSV text for one device's samples: (points, fit).
+
+    points has a cells,ns_per_step,fit_ns line per sample. fit holds the
+    trend line's coefficients; with fewer than two distinct sizes there is
+    no trend line, so fit is None and every fit_ns is empty.
+    """
+    pts = [(s.cells, s.ns_per_step) for s in samples]
+    fit = linear_fit(pts) if len({c for c, _ in pts}) >= 2 else None
+    lines = ["cells,ns_per_step,fit_ns"]
+    for cells, ns in pts:
+        fitted = f"{fit.slope * cells + fit.intercept:.3f}" if fit else ""
+        lines.append(f"{cells},{ns:.3f},{fitted}")
+    points = "\n".join(lines) + "\n"
+    if fit is None:
+        return points, None
+    return points, ("slope_ns_per_cell,intercept_ns,r_squared\n"
+                    f"{fit.slope:.9g},{fit.intercept:.9g},{fit.r_squared:.9g}\n")
+
+
 def speedup(sw_time, hw_time) -> float:
     """Ratio of software to hardware time-per-step (any common unit)."""
     if hw_time <= 0:
         raise ZeroDivisor(f"hardware time must be positive, got {hw_time}")
     return sw_time / hw_time
 
-
-def fpga_time_model(size: tuple[int, int], cal: "_circuit.CalibrationTable | None" = None) -> float:
-    """Modeled FPGA ns/step for a world size: its min clock period, since
-    the circuit updates the whole world once per clock."""
-    width, height = size
-    return _circuit.calibrated_min_clock_ns(width * height, cal)

@@ -1,4 +1,4 @@
-"""Synchronous-circuit emulation of the Game of Life, plus FPGA resource models.
+"""Synchronous-circuit emulation of the Game of Life.
 
 Each cell is one D flip-flop, a popcount adder tree over its eight neighbor
 registers, and rule logic on the 4-bit sum, written once as a table of gate
@@ -11,21 +11,16 @@ done, NOT is masked so that the D inputs latch straight into the registers,
 and the neighbor shifts carry across words in contiguous 1-D ops. It
 evaluates bit-packed uint64 planes, 64 cells per gate op, with no
 allocation, and then every register latches at once.
-
-Resource estimation is separate from the netlist: registers and LEs for a
-given world size are modeled from a calibration table of synthesis results
-(Cyclone IV, DE2-115 board), not derived from our node counts.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .grid import MASK64, World, cells
+from .grid import MASK64, World
 
 # Node kind codes. XOR3/MAJ3 are the sum and carry halves of a full-adder
 # stage; everything else is an ordinary 1- or 2-input gate.
@@ -39,18 +34,9 @@ MAJ3 = 6
 
 KIND_NAMES = ("CONST0", "AND", "OR", "NOT", "XOR", "XOR3", "MAJ3")
 
-# The calibration table's register counts exceed cells by exactly this
-# constant on every row. An artifact of the synthesized designs, not
-# circuit structure; our netlists carry exactly one register per cell.
-REGISTER_OVERHEAD = 4
-
 
 class SizeMismatch(ValueError):
     """World dimensions do not match the elaborated netlist."""
-
-
-class OutOfRange(ValueError):
-    """Requested size falls outside the calibration table."""
 
 
 # Moore neighborhood by compass direction: (dx, dy), y pointing down.
@@ -274,10 +260,6 @@ class Netlist:
         words = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
         np.bitwise_and(words, self._mask[:, :-1], out=self._regs)
 
-    def registers(self) -> np.ndarray:
-        """Copy of the current register values as a row-major bool array."""
-        return cells(self.to_world()).astype(bool).ravel()
-
     def to_world(self, generation: int = 0) -> World:
         data = self._regs.astype("<u8", copy=False).tobytes()
         return World.from_bytes(self.width, self.height, data, generation)
@@ -334,103 +316,3 @@ def count_resources(netlist: Netlist) -> tuple[int, int]:
     The node count is our netlist metric; it is not a vendor LE count.
     """
     return netlist.n_registers, netlist.n_comb_nodes
-
-
-# ---------------------------------------------------------------------------
-# Calibrated resource model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CalRow:
-    cells: int
-    les: int
-    registers: int
-    min_clock_ns: float
-
-
-class CalibrationTable:
-    """Synthesis results by world size: LEs, registers, min clock period."""
-
-    def __init__(self, rows):
-        rows = tuple(rows)
-        if not rows:
-            raise ValueError("calibration table is empty")
-        for prev, cur in zip(rows, rows[1:]):
-            if cur.cells <= prev.cells:
-                raise ValueError("calibration rows must be strictly increasing in cells")
-        self.rows = rows
-
-    @property
-    def min_cells(self) -> int:
-        return self.rows[0].cells
-
-    @property
-    def max_cells(self) -> int:
-        return self.rows[-1].cells
-
-    def model(self, cells: int, extrapolate: bool = False) -> tuple[int, float]:
-        """(LEs, min clock period) for a cell count.
-
-        LEs interpolate linearly between the bracketing rows, rounding half
-        up, and are exact at a row. The clock is the max of the bracketing
-        rows (the column is not monotonic, so no curve fit). Outside the
-        table an OutOfRange is raised unless extrapolate=True, which extends
-        the edge LE segment and reuses the edge row's clock.
-        """
-        rows = self.rows
-        if self.min_cells <= cells <= self.max_cells:
-            hi = next(row for row in rows if row.cells >= cells)
-            if hi.cells == cells:
-                return hi.les, hi.min_clock_ns
-            lo = rows[rows.index(hi) - 1]
-            clock = max(lo.min_clock_ns, hi.min_clock_ns)
-        elif extrapolate:
-            lo, hi = rows[:2] if cells < self.min_cells else rows[-2:]
-            clock = (lo if cells < self.min_cells else hi).min_clock_ns
-        else:
-            raise OutOfRange(f"{cells} cells outside calibration range "
-                             f"[{self.min_cells}, {self.max_cells}]")
-        les = lo.les + _round_half_up((cells - lo.cells) * (hi.les - lo.les), hi.cells - lo.cells)
-        return max(les, 0), clock
-
-
-@dataclass(frozen=True)
-class ResourceEstimate:
-    width: int
-    height: int
-    registers: int
-    les: int
-    min_clock_ns: float
-
-
-def _default_calibration() -> CalibrationTable:
-    from . import refdata
-    return refdata.load_calibration()
-
-
-def _round_half_up(num: int, den: int) -> int:
-    return (2 * num + den) // (2 * den)
-
-
-def calibrated_min_clock_ns(cells: int, cal: CalibrationTable | None = None) -> float:
-    """Min clock period for a size: table value if listed, else the max of
-    the two bracketing rows (the table is not monotonic, so no curve fit)."""
-    return (cal or _default_calibration()).model(cells)[1]
-
-
-def estimate_resources(width: int, height: int, cal: CalibrationTable | None = None,
-                       extrapolate: bool = False) -> ResourceEstimate:
-    """Model registers, LEs, and min clock period for a world size.
-
-    Registers are cells + REGISTER_OVERHEAD (exact on every calibration
-    row); LEs and the clock come from CalibrationTable.model. Outside the
-    calibration range an OutOfRange is raised unless extrapolate=True (a
-    rough guess, since large designs may not route the same way).
-    """
-    cells = width * height
-    try:
-        les, clock = (cal or _default_calibration()).model(cells, extrapolate)
-    except OutOfRange as exc:
-        raise OutOfRange(f"{width}x{height} = {exc}; pass extrapolate=True to force") from None
-    return ResourceEstimate(width, height, cells + REGISTER_OVERHEAD, les, clock)

@@ -12,12 +12,12 @@ import math
 import sys
 from pathlib import Path
 
-from . import bench, refdata
-from .circuit import OutOfRange, estimate_resources
+from . import bench
 from .energy import (DEFAULT_PROFILES, EnergyInputError, PowerProfile, comparison_csv,
                      comparison_markdown, comparison_table, energy_per_step, format_energy)
 from .engines import ENGINE_KINDS, run
 from .grid import PatternError, parse_pattern, serialize_pattern
+from .refdata import OutOfRange, estimate_resources, published_samples
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -143,6 +143,9 @@ def cmd_estimate(args) -> int:
         fpga_energy = energy_per_step(args.power_fpga, fpga_ns * 1e-9)
         if args.sw_ns_per_step is not None:
             sw_energy = energy_per_step(args.power_sw, args.sw_ns_per_step * 1e-9)
+            ratio = sw_energy / fpga_energy
+            if not math.isfinite(ratio):
+                raise EnergyInputError("energy ratio is out of floating-point range")
     except (OutOfRange, EnergyInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -156,26 +159,14 @@ def cmd_estimate(args) -> int:
         print(f"software ns/step: {args.sw_ns_per_step}")
         print(f"software energy/step: {format_energy(sw_energy)} ({sw_energy:.7g} J)")
         print(f"speedup fpga vs software: {bench.speedup(args.sw_ns_per_step, fpga_ns):.1f}")
-        print(f"energy ratio software/fpga: {sw_energy / fpga_energy:.1f}")
+        print(f"energy ratio software/fpga: {ratio:.1f}")
     return EXIT_OK
-
-
-def _published_samples():
-    """The packaged device timing table as per-device benchmark samples."""
-    mac, rasp = [], []
-    for row in refdata.load_device_times():
-        width, height = row.size
-        mac.append(bench.BenchSample(width, height, row.cells, "published", 1,
-                                     int(round(row.mac_us * 1000))))
-        rasp.append(bench.BenchSample(width, height, row.cells, "published", 1,
-                                      int(round(row.raspberry_us * 1000))))
-    return {"mac": mac, "raspberry": rasp}
 
 
 def cmd_report(args) -> int:
     device_samples = {}
     if args.published:
-        device_samples.update(_published_samples())
+        device_samples.update(published_samples())
     for item in args.input or []:
         label, sep, path = item.partition("=")
         if not sep:
@@ -214,7 +205,7 @@ def cmd_report(args) -> int:
 
     try:
         rows = comparison_table(device_samples, profiles=profiles)
-    except (OutOfRange, EnergyInputError) as exc:
+    except ValueError as exc:  # OutOfRange, EnergyInputError or the reserved label "fpga"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(comparison_csv(rows) if args.format == "csv"
@@ -222,25 +213,14 @@ def cmd_report(args) -> int:
 
     if args.plot_data:
         for device, samples in sorted(device_samples.items()):
-            points = [(s.cells, s.ns_per_step) for s in samples]
-            fit = None
-            if len({c for c, _ in points}) >= 2:
-                fit = bench.linear_fit(points)
-            else:
+            points, fit = bench.plot_data(samples)
+            if fit is None:
                 print(f"warning: {device}: need at least two sizes for a trend line",
                       file=sys.stderr)
-            lines = ["cells,ns_per_step,fit_ns"]
-            for cells, ns in points:
-                fitted = f"{fit.slope * cells + fit.intercept:.3f}" if fit else ""
-                lines.append(f"{cells},{ns:.3f},{fitted}")
             try:
-                Path(f"{args.plot_data}_{device}.csv").write_text(
-                    "\n".join(lines) + "\n", encoding="ascii")
-                if fit:
-                    Path(f"{args.plot_data}_{device}_fit.csv").write_text(
-                        "slope_ns_per_cell,intercept_ns,r_squared\n"
-                        f"{fit.slope:.9g},{fit.intercept:.9g},{fit.r_squared:.9g}\n",
-                        encoding="ascii")
+                Path(f"{args.plot_data}_{device}.csv").write_text(points, encoding="ascii")
+                if fit is not None:
+                    Path(f"{args.plot_data}_{device}_fit.csv").write_text(fit, encoding="ascii")
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_IO

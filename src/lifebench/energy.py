@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import circuit as _circuit
-from .bench import ZeroDivisor, fpga_time_model, speedup
+from .bench import speedup
+from .refdata import fpga_time_model
 
 
 class EnergyInputError(ValueError):
@@ -39,30 +39,21 @@ DEFAULT_PROFILES = {
 }
 
 
-@dataclass(frozen=True)
-class EnergyEstimate:
-    device: str
-    seconds_per_step: float
-    watts: float
-
-    @property
-    def energy_j(self) -> float:
-        return self.watts * self.seconds_per_step
-
-
 def energy_per_step(watts: float, seconds: float) -> float:
-    """Joules per step: exact product, no rounding until display."""
+    """Joules per step: exact product, no rounding until display.
+
+    A product that overflows to inf, or underflows to 0 for a time above 0,
+    is rejected rather than shown.
+    """
     if not (math.isfinite(watts) and watts > 0):
         raise NonpositivePower(f"power must be positive and finite, got {watts} W")
     if not (math.isfinite(seconds) and seconds >= 0):
         raise EnergyInputError(f"time per step must be finite and >= 0, got {seconds} s")
-    return watts * seconds
-
-
-def energy_ratio(a: EnergyEstimate, b: EnergyEstimate) -> float:
-    if b.energy_j <= 0:
-        raise ZeroDivisor("denominator energy must be positive")
-    return a.energy_j / b.energy_j
+    joules = watts * seconds
+    if not math.isfinite(joules) or (joules == 0 and seconds > 0):
+        raise EnergyInputError(f"energy per step of {watts} W for {seconds} s "
+                               "is out of floating-point range")
+    return joules
 
 
 def format_energy(joules: float) -> str:
@@ -84,38 +75,38 @@ class ComparisonRow:
     energy_j: float | None
 
 
-def comparison_table(device_samples, cal: "_circuit.CalibrationTable | None" = None,
-                     profiles=None, fpga_device: str = "fpga") -> list[ComparisonRow]:
+def comparison_table(device_samples, profiles=None) -> list[ComparisonRow]:
     """Per-(device, size) comparison rows against the modeled FPGA.
 
-    device_samples maps device name -> benchmark samples. One row per
-    sample plus one FPGA row per distinct size; speedup is device time over
-    modeled FPGA time, energy comes from the device's power profile (None
-    if the device has no profile).
+    device_samples maps device name -> benchmark samples; the name "fpga"
+    is reserved for the model. One row per sample plus one FPGA row per
+    distinct size; speedup is device time over modeled FPGA time, energy
+    comes from the device's power profile (None if the device has no
+    profile).
     """
     if profiles is None:
         profiles = DEFAULT_PROFILES
     rows = []
     sizes = set()
     for device, samples in sorted(device_samples.items()):
-        if device == fpga_device:
-            raise ValueError(f"device name {fpga_device!r} is reserved for the FPGA model")
+        if device == "fpga":
+            raise ValueError("device name 'fpga' is reserved for the FPGA model")
         profile = profiles.get(device)
         for s in samples:
             size = (s.width, s.height)
             sizes.add(size)
-            fpga_ns = fpga_time_model(size, cal)
+            fpga_ns = fpga_time_model(size)
             energy = (energy_per_step(profile.watts, s.ns_per_step * 1e-9)
                       if profile else None)
             rows.append(ComparisonRow(device, s.width, s.height, s.cells,
                                       s.ns_per_step, speedup(s.ns_per_step, fpga_ns),
                                       energy))
-    fpga_profile = profiles.get(fpga_device)
+    fpga_profile = profiles.get("fpga")
     for width, height in sorted(sizes, key=lambda wh: (wh[0] * wh[1], wh)):
-        fpga_ns = fpga_time_model((width, height), cal)
+        fpga_ns = fpga_time_model((width, height))
         energy = (energy_per_step(fpga_profile.watts, fpga_ns * 1e-9)
                   if fpga_profile else None)
-        rows.append(ComparisonRow(fpga_device, width, height, width * height,
+        rows.append(ComparisonRow("fpga", width, height, width * height,
                                   fpga_ns, 1.0, energy))
     rows.sort(key=lambda r: (r.cells, r.width, r.device))
     return rows

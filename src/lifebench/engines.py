@@ -24,32 +24,6 @@ from .grid import World, cells, from_cells
 ENGINE_KINDS = ("reference", "bitsliced", "circuit")
 
 
-class OutOfBounds(IndexError):
-    """Queried cell lies outside the world."""
-
-
-def next_cell_state(alive: bool, cnt: int) -> bool:
-    """Step rule for one cell given its live-neighbor count (0..8).
-
-    A cell is alive next step iff it has exactly 3 live neighbors, or it
-    is alive now and has exactly 2.
-    """
-    return cnt == 3 or (bool(alive) and cnt == 2)
-
-
-def neighbor_count(world: World, x: int, y: int) -> int:
-    """Live cells among the 8 Moore neighbors; out-of-bounds reads as dead."""
-    if not (0 <= x < world.width and 0 <= y < world.height):
-        raise OutOfBounds(f"({x},{y}) outside {world.width}x{world.height} world")
-    cnt = 0
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            nx, ny = x + dx, y + dy
-            if (dx or dy) and 0 <= nx < world.width and 0 <= ny < world.height:
-                cnt += world.get(nx, ny)
-    return cnt
-
-
 class ReferenceEngine:
     """Scalar baseline: per-cell neighbor sum over a halo-padded byte grid.
 
@@ -212,10 +186,7 @@ class CircuitEngine:
         if n is None or (not self._fixed and (n.width, n.height) != (world.width, world.height)):
             n = _circuit.elaborate(world.width, world.height)
             self._netlist = n
-        if (n.width, n.height) != (world.width, world.height):
-            raise _circuit.SizeMismatch(
-                f"netlist is {n.width}x{n.height}, world is {world.width}x{world.height}")
-        n.load(world)
+        n.load(world)  # SizeMismatch if a fixed netlist is for another size
         self._generation = world.generation
 
     def step(self) -> None:
@@ -224,10 +195,6 @@ class CircuitEngine:
 
     def world(self) -> World:
         return self._netlist.to_world(self._generation)
-
-    @property
-    def netlist(self) -> "_circuit.Netlist":
-        return self._netlist
 
 
 _ENGINES = {
@@ -261,22 +228,3 @@ def run(engine, world: World, steps: int) -> World:
     for _ in range(steps):
         engine.step()
     return engine.world()
-
-
-def step_reference(world: World) -> World:
-    """One step with the scalar reference engine."""
-    return run(ReferenceEngine(), world, 1)
-
-
-def step_bitsliced(world: World) -> World:
-    """One step with the bit-sliced engine; equals step_reference bit for bit."""
-    return run(BitSlicedEngine(), world, 1)
-
-
-def step_circuit(world: World, netlist: "_circuit.Netlist | None" = None) -> World:
-    """One step through the circuit emulation.
-
-    With an explicit netlist the world must match its dimensions
-    (SizeMismatch otherwise); without one, a netlist is elaborated.
-    """
-    return run(CircuitEngine(netlist=netlist), world, 1)

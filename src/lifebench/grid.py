@@ -58,7 +58,7 @@ def mix64(z):
 
 
 class Rng:
-    """SplitMix64 generator: 64-bit counter-based, splittable stream.
+    """SplitMix64 generator: a 64-bit counter-based stream.
 
     The i-th output is a pure function of (seed, i), so sequences are
     identical on every platform and independent of call batching. Good
@@ -73,14 +73,6 @@ class Rng:
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & MASK64
         return mix64(self._state)
-
-    def next_float(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
-
-    def split(self) -> "Rng":
-        """Child generator whose stream is independent of this one's future."""
-        return Rng(self.next_u64())
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +103,10 @@ class World:
         except OverflowError:
             raise ValueError("world words must lie in [0, 2**64)") from None
         self._set(width, height, data, generation)
-        last = np.frombuffer(data, dtype="<u8")[self.row_words - 1::self.row_words]
-        if np.any(last >> np.uint64((width - 1) & 63) > 1):
-            raise ValueError(f"world words set padding bits at x >= width {width}")
 
     @classmethod
     def from_bytes(cls, width: int, height: int, data: bytes, generation: int = 0) -> "World":
-        """World over `data` in the packed layout; its padding bits must be zero (not checked)."""
+        """World over `data` in the packed layout; its padding bits must be zero."""
         world = cls.__new__(cls)
         world._set(width, height, bytes(data), generation)
         return world
@@ -128,6 +117,10 @@ class World:
         n = height * ((width + 63) >> 6)
         if len(data) != 8 * n:
             raise ValueError(f"expected {n} words for {width}x{height}, got {len(data) / 8:g}")
+        if width & 63:  # a row's last word has padding bits
+            last = np.frombuffer(data, dtype="<u8")[n // height - 1::n // height]
+            if int(np.bitwise_or.reduce(last)) >> (width & 63):
+                raise ValueError(f"world sets padding bits at x >= width {width}")
         self.width = width
         self.height = height
         self.generation = generation
@@ -145,33 +138,10 @@ class World:
     def empty(cls, width: int, height: int) -> "World":
         return cls.from_bytes(width, height, bytes(8 * height * ((width + 63) >> 6)))
 
-    @classmethod
-    def from_row_ints(cls, width: int, height: int, rows, generation: int = 0) -> "World":
-        """Build from one arbitrary-precision int per row (bit x = cell x).
-
-        Bits at x >= width are discarded, enforcing the zero-padding invariant.
-        """
-        rows = list(rows)
-        if len(rows) != height:
-            raise ValueError(f"expected {height} rows, got {len(rows)}")
-        row_mask, row_bytes = (1 << width) - 1, 8 * ((width + 63) >> 6)
-        data = b"".join((r & row_mask).to_bytes(row_bytes, "little") for r in rows)
-        return cls.from_bytes(width, height, data, generation)
-
-    def row_int(self, y: int) -> int:
-        """Row y as one int, bit x = cell (x, y)."""
-        row_bytes = 8 * self.row_words
-        return int.from_bytes(self.data[y * row_bytes:(y + 1) * row_bytes], "little")
-
     def get(self, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise IndexError(f"cell ({x},{y}) outside {self.width}x{self.height} world")
         return (self.data[8 * y * self.row_words + (x >> 3)] >> (x & 7)) & 1
-
-    def live_cells(self):
-        """Iterate over (x, y) of every live cell in row-major order."""
-        ys, xs = np.nonzero(cells(self))
-        return zip(xs.tolist(), ys.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, World):

@@ -3,8 +3,7 @@
 import numpy as np
 
 from lifebench.circuit import AND, CONST0, NOT, OR, XOR, XOR3
-from lifebench.engines import neighbor_count, next_cell_state
-from lifebench.grid import Rng, World
+from lifebench.grid import MASK64, Rng, World, cells
 
 # Two phases of the beacon oscillator (period 2).
 BEACON_A = (
@@ -39,15 +38,43 @@ MAC_INTERCEPT = -0.01657142857142857  # = -29/1750 us
 MAC_R2 = 0.9972208199507837           # = 1103871665/1106948073
 
 
-def world_from_cells(width, height, cells, generation=0):
+class FakeClock:
+    """Deterministic clock for run_bench: advances a fixed amount per reading."""
+
+    def __init__(self, advance_ns, start_ns=0):
+        self.advance_ns = advance_ns
+        self.now_ns = start_ns
+
+    def __call__(self):
+        self.now_ns += self.advance_ns
+        return self.now_ns
+
+
+def world_from_rows(width, height, rows, generation=0):
+    """World from one int per row, bit x = cell x; bits at x >= width must be 0."""
+    row_words = (width + 63) >> 6
+    words = [(r >> (64 * i)) & MASK64 for r in rows for i in range(row_words)]
+    return World(width, height, words, generation)
+
+
+def row_ints(world):
+    """Each row of world.data as one int, bit x = cell x, padding bits included."""
+    size = 8 * world.row_words
+    return [int.from_bytes(world.data[i:i + size], "little")
+            for i in range(0, len(world.data), size)]
+
+
+def world_from_cells(width, height, live, generation=0):
     rows = [0] * height
-    for x, y in cells:
+    for x, y in live:
         rows[y] |= 1 << x
-    return World.from_row_ints(width, height, rows, generation)
+    return world_from_rows(width, height, rows, generation)
 
 
 def cells_of(world):
-    return set(world.live_cells())
+    """The set of (x, y) of every live cell."""
+    ys, xs = np.nonzero(cells(world))
+    return set(zip(xs.tolist(), ys.tolist()))
 
 
 def random_world_oracle(width, height, density, seed):
@@ -62,7 +89,29 @@ def random_world_oracle(width, height, density, seed):
             if rng.next_u64() < threshold:
                 r |= 1 << x
         rows.append(r)
-    return World.from_row_ints(width, height, rows)
+    return world_from_rows(width, height, rows)
+
+
+def next_cell_state(alive, cnt):
+    """Step rule for one cell given its live-neighbor count (0..8).
+
+    A cell is alive next step iff it has exactly 3 live neighbors, or it
+    is alive now and has exactly 2.
+    """
+    return cnt == 3 or (bool(alive) and cnt == 2)
+
+
+def neighbor_count(world, x, y):
+    """Live cells among the 8 Moore neighbors; out-of-bounds reads as dead."""
+    if not (0 <= x < world.width and 0 <= y < world.height):
+        raise IndexError(f"({x},{y}) outside {world.width}x{world.height} world")
+    cnt = 0
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            nx, ny = x + dx, y + dy
+            if (dx or dy) and 0 <= nx < world.width and 0 <= ny < world.height:
+                cnt += world.get(nx, ny)
+    return cnt
 
 
 def naive_step(world):
@@ -74,25 +123,25 @@ def naive_step(world):
             if next_cell_state(world.get(x, y), neighbor_count(world, x, y)):
                 r |= 1 << x
         rows.append(r)
-    return World.from_row_ints(world.width, world.height, rows, world.generation + 1)
+    return world_from_rows(world.width, world.height, rows, world.generation + 1)
 
 
 def embed(world, margin):
     """Center a world in a dead frame `margin` cells wide."""
-    cells = {(x + margin, y + margin) for x, y in world.live_cells()}
+    live = {(x + margin, y + margin) for x, y in cells_of(world)}
     return world_from_cells(world.width + 2 * margin, world.height + 2 * margin,
-                            cells, world.generation)
+                            live, world.generation)
 
 
 def crop(world, margin):
     """Inverse of embed: drop a frame `margin` cells wide."""
     w = world.width - 2 * margin
     h = world.height - 2 * margin
-    cells = set()
-    for x, y in world.live_cells():
+    live = set()
+    for x, y in cells_of(world):
         if margin <= x < margin + w and margin <= y < margin + h:
-            cells.add((x - margin, y - margin))
-    return world_from_cells(w, h, cells, world.generation)
+            live.add((x - margin, y - margin))
+    return world_from_cells(w, h, live, world.generation)
 
 
 def tick_in_order(netlist, order):
@@ -105,7 +154,7 @@ def tick_in_order(netlist, order):
     """
     base = netlist.n_registers
     v = np.zeros(base + netlist.n_comb_nodes, dtype=bool)
-    v[:base] = netlist.registers()
+    v[:base] = cells(netlist.to_world()).ravel()
     for nid in order:
         k = netlist.kinds[nid - base]
         a, b, c = netlist.inputs[nid - base]

@@ -7,14 +7,13 @@ pass. Budget assertions use wall time on the build machine.
 import math
 import time
 
-from helpers import BEACON_A, BEACON_B, MAC_POINTS, MAC_R2
-from lifebench.bench import (BenchConfig, FakeClock, linear_fit, run_bench,
-                             samples_to_csv, speedup)
-from lifebench.circuit import elaborate, estimate_resources
+from helpers import BEACON_A, BEACON_B, MAC_POINTS, MAC_R2, FakeClock
+from lifebench.bench import BenchConfig, linear_fit, run_bench, samples_to_csv, speedup
+from lifebench.circuit import elaborate
 from lifebench.energy import energy_per_step
 from lifebench.engines import ENGINE_KINDS, CircuitEngine, make_engine, run
 from lifebench.grid import Rng, parse_pattern, random_world
-from lifebench.refdata import load_calibration, load_device_times
+from lifebench.refdata import estimate_resources, load_calibration, load_device_times
 
 # 1000 worlds: (size, world count), spanning 1x1 up to 100x100 with the
 # bulk of the draws on small grids so the full three-engine sweep stays

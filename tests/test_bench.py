@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from lifebench.bench import (CSV_HEADER, BenchConfig, ClockError, CsvSchemaError,
-                             DEFAULT_SIZES, DegeneratePoints, FakeClock, ZeroDivisor,
-                             fpga_time_model, linear_fit, read_csv, run_bench,
-                             samples_to_csv, speedup)
-from lifebench.circuit import OutOfRange
+                             DEFAULT_SIZES, DegeneratePoints, ZeroDivisor, linear_fit,
+                             read_csv, run_bench, samples_to_csv, speedup)
+from lifebench.refdata import OutOfRange, fpga_time_model
 
-from helpers import MAC_INTERCEPT, MAC_POINTS, MAC_R2, MAC_SLOPE
+from helpers import MAC_INTERCEPT, MAC_POINTS, MAC_R2, MAC_SLOPE, FakeClock
 
 
 def test_fake_clock_exact_ns_per_step():

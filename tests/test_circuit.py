@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from helpers import BEACON_A, BEACON_B, cells_of, tick_in_order
-from lifebench.circuit import (CONST0, KIND_NAMES, CalRow, CalibrationTable, OutOfRange,
-                               REGISTER_OVERHEAD, SizeMismatch, calibrated_min_clock_ns,
-                               count_resources, elaborate, estimate_resources)
-from lifebench.grid import World, parse_pattern, random_world
-from lifebench.refdata import load_calibration
+from lifebench.circuit import CONST0, KIND_NAMES, SizeMismatch, count_resources, elaborate
+from lifebench.grid import World, parse_pattern, population, random_world
+from lifebench.refdata import (REGISTER_OVERHEAD, CalibrationTable, CalRow, OutOfRange,
+                               estimate_resources, fpga_time_model, load_calibration)
 
 
 def comb_level(netlist):
@@ -46,11 +45,11 @@ def test_1x1_isolated_cell():
     assert len(leaves) == 16  # 8 neighbor slots, each read by a sum and a carry
     assert all(i == n.const_id for i in leaves)
     # a live isolated cell dies on the next tick (count 0)
-    n.load(World.from_row_ints(1, 1, [1]))
+    n.load(World(1, 1, (1,)))
     n.tick()
-    assert not n.registers()[0]
+    assert population(n.to_world()) == 0
     n.tick()
-    assert not n.registers()[0]
+    assert population(n.to_world()) == 0
 
 
 def test_corner_cell_const_inputs():
@@ -148,7 +147,7 @@ def test_all_dead_stays_dead():
     n = elaborate(4, 4)
     for _ in range(3):
         n.tick()
-        assert not n.registers().any()
+        assert population(n.to_world()) == 0
 
 
 def test_load_size_mismatch():
@@ -167,7 +166,7 @@ def test_tick_order_insensitive():
         n = elaborate(width, height)
         n.load(world)
         n.tick()
-        expected = n.registers()
+        expected = n.to_world()
 
         levels = comb_level(n)
         ids = np.arange(n.n_registers, n.n_registers + n.n_comb_nodes)
@@ -176,7 +175,7 @@ def test_tick_order_insensitive():
             order = ids[np.lexsort((keys, levels[ids]))]  # random valid topo order
             n.load(world)
             tick_in_order(n, order)
-            assert np.array_equal(n.registers(), expected)
+            assert n.to_world() == expected
 
 
 def test_describe_pinned():
@@ -263,14 +262,14 @@ def test_estimate_pinned():
     for cells, les, clock in _PINNED_ESTIMATES:
         est = estimate_resources(cells, 1)
         assert (est.les, est.min_clock_ns) == (les, clock)
-        assert calibrated_min_clock_ns(cells) == clock
+        assert fpga_time_model((cells, 1)) == clock
     for cells, les, clock in _PINNED_EXTRAPOLATED:
         est = estimate_resources(cells, 1, extrapolate=True)
         assert (est.registers, est.les, est.min_clock_ns) == (cells + 4, les, clock)
         with pytest.raises(OutOfRange, match=f"{cells}x1 = {cells} cells outside"):
             estimate_resources(cells, 1)
         with pytest.raises(OutOfRange):
-            calibrated_min_clock_ns(cells)
+            fpga_time_model((cells, 1))
 
 
 def test_calibration_table_validates():

@@ -1,4 +1,11 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import BEACON_A
 from lifebench.cli import main, parse_size, parse_sizes
@@ -205,6 +212,18 @@ def test_estimate_bad_numbers_exit_2(args, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["--power-fpga", "1e-320", "--sw-ns-per-step", "5"],  # FPGA energy underflows to 0
+    ["--power-sw", "1e10", "--sw-ns-per-step", "1e308"],  # software energy overflows
+    ["--power-fpga", "1e-300", "--sw-ns-per-step", "1e9"],  # the energy ratio overflows
+])
+def test_estimate_energy_out_of_range_exit_2(args, capsys):
+    code, out, err = run_cli(["estimate", "--size", "10x10", *args], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "out of floating-point range" in err
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -315,3 +334,83 @@ def test_report_impossible_row_exit_2(tmp_path, capsys, row):
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "line 2: " in err
+
+
+def test_report_power_underflow_exit_2(capsys):
+    code, out, err = run_cli(["report", "--published", "--power", "mac=1e-320"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "out of floating-point range" in err
+
+
+def test_report_reserved_fpga_label_exit_2(tmp_path, capsys):
+    path = bench_csv(tmp_path, "dev.csv", [(10, 10, 100, 250_000)])
+    code, out, err = run_cli(["report", "--input", f"fpga={path}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: device name 'fpga' is reserved for the FPGA model\n"
+
+
+# ---------------------------------------------------------------------------
+# argument fuzzing: every input succeeds or fails cleanly (bench is left out,
+# as its default floors run for hours)
+# ---------------------------------------------------------------------------
+
+_NUMBER = st.one_of(st.sampled_from(["1e-320", "1e-300", "1e308", "0", "-0.0", "-1", "nan",
+                                     "inf", "x", ""]),
+                    st.floats(1e-3, 1e6).map(repr), st.floats().map(repr))
+_SIZE = st.one_of(st.tuples(st.integers(1, 120), st.integers(1, 120)).map("{0[0]}x{0[1]}".format),
+                  st.sampled_from(["5x5", "100x100", "x", "10", "-3x4", ""]))
+_LABEL = st.sampled_from(["lab", "mac", "raspberry", "fpga", ""])
+_HEADER = "width,height,cells,engine,steps,total_ns,ns_per_step"
+# Mostly rows the table accepts; test_report_impossible_row_exit_2 covers the others.
+_CSV_ROW = st.tuples(st.integers(1, 110), st.integers(1, 110),
+                     st.sampled_from(["reference", "", "x y"]), st.integers(1, 10 ** 9),
+                     st.one_of(st.integers(0, 10 ** 12), st.sampled_from([-1, 2 ** 63, 10 ** 400])))
+
+
+def _assert_clean(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+# Values are passed as --flag=value, so that argparse never reads one as a flag.
+@settings(max_examples=300, deadline=None)
+@given(_SIZE, st.dictionaries(st.sampled_from(["--power-fpga", "--power-sw", "--sw-ns-per-step"]),
+                              _NUMBER),
+       st.booleans())
+def test_fuzz_estimate(size, numbers, extrapolate):
+    _assert_clean(["estimate", f"--size={size}", *(f"{flag}={v}" for flag, v in numbers.items())]
+                  + ["--extrapolate"] * extrapolate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.sampled_from(["md", "csv"]), st.dictionaries(_LABEL, _NUMBER, max_size=3),
+       _LABEL, st.sampled_from([_HEADER, "width"]), st.lists(_CSV_ROW, max_size=4))
+def test_fuzz_report(published, fmt, powers, label, header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "in.csv")
+        path.write_text("".join(f"{line}\n" for line in [header] + [
+            f"{w},{h},{w * h},{engine},{steps},{total_ns},1.0"
+            for w, h, engine, steps, total_ns in rows]))
+        argv = ["report", f"--format={fmt}", f"--plot-data={tmp}/plot", f"--input={label}={path}"]
+        argv += ["--published"] * published
+        argv += [f"--power={device}={watts}" for device, watts in powers.items()]
+        _assert_clean(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.text(".O\n", max_size=40), st.text(".O\nX", max_size=40)),
+       st.sampled_from(["reference", "bitsliced", "circuit"]), st.integers(0, 5))
+def test_fuzz_run(pattern, engine, steps):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "pattern.txt")
+        path.write_text(pattern)
+        _assert_clean(["run", str(path), f"--engine={engine}", f"--steps={steps}",
+                       f"--out={tmp}/out.txt"])

@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from lifebench.bench import BenchSample, ZeroDivisor
-from lifebench.energy import (DEFAULT_PROFILES, ComparisonRow, EnergyEstimate,
-                              EnergyInputError, NonpositivePower, PowerProfile, comparison_csv,
+from lifebench.bench import BenchSample
+from lifebench.energy import (DEFAULT_PROFILES, ComparisonRow, EnergyInputError,
+                              NonpositivePower, PowerProfile, comparison_csv,
                               comparison_markdown, comparison_table, energy_per_step,
-                              energy_ratio, format_energy)
-from lifebench.refdata import load_calibration, load_device_times
+                              format_energy)
+from lifebench.refdata import load_calibration, load_device_times, published_samples
 
 
 def test_energy_published_anchors():
@@ -41,16 +41,16 @@ def test_energy_errors():
             energy_per_step(1.0, seconds)
 
 
-def test_energy_ratio():
-    rasp = EnergyEstimate("raspberry", 109.964e-6, 6.4)
-    fpga = EnergyEstimate("fpga", 4e-9, 24.0)
-    # hand-computed: 7.037696e-4 / 9.6e-8
-    assert math.isclose(energy_ratio(rasp, fpga), 7330.933333333333, rel_tol=1e-9)
-    assert energy_ratio(rasp, rasp) == 1.0
-    zero = EnergyEstimate("idle", 0.0, 1.0)
-    assert energy_ratio(zero, fpga) == 0.0
-    with pytest.raises(ZeroDivisor):
-        energy_ratio(fpga, zero)
+@pytest.mark.parametrize("watts, seconds", [(1e10, 1e299), (1e308, 10.0),  # overflow to inf
+                                            (1e-320, 4e-9), (1e-200, 1e-200)])  # underflow to 0
+def test_energy_out_of_float_range(watts, seconds):
+    with pytest.raises(EnergyInputError, match="out of floating-point range"):
+        energy_per_step(watts, seconds)
+
+
+def test_energy_tiny_but_representable():
+    assert energy_per_step(1e-300, 4.8e-9) > 0  # a subnormal product is kept
+    assert energy_per_step(1e-320, 0.0) == 0.0  # zero time is zero energy
 
 
 def test_format_energy_units():
@@ -74,6 +74,10 @@ def _published_device_samples():
         rasp.append(BenchSample(w, h, row.cells, "published", 1,
                                 int(round(row.raspberry_us * 1000))))
     return {"mac": mac, "raspberry": rasp}
+
+
+def test_published_samples_match_device_table():
+    assert published_samples() == _published_device_samples()
 
 
 def test_comparison_reproduces_published_speedups():

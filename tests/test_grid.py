@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BEACON_A, BEACON_B, BEACON_A_CELLS, cells_of, random_world_oracle
+from helpers import (BEACON_A, BEACON_B, BEACON_A_CELLS, cells_of, random_world_oracle,
+                     row_ints)
 from lifebench.grid import (BadDensity, EmptyPattern, IllegalChar, RaggedLines, Rng,
                             World, cells, from_cells, parse_pattern, population,
                             random_world, serialize_pattern)
@@ -79,8 +80,7 @@ def test_padding_bits_zero():
         world = random_world(w, h, 0.9, rng.next_u64())
         rw = world.row_words
         mask = (1 << (64 * rw)) - (1 << w)  # bits above width, per row
-        for y in range(h):
-            assert world.row_int(y) & mask == 0
+        assert all(row & mask == 0 for row in row_ints(world))
 
 
 def test_random_world_density_extremes():
@@ -135,15 +135,6 @@ def test_rng_reference_vector():
     ]
 
 
-def test_rng_split_and_float():
-    r = Rng(1)
-    child = r.split()
-    assert child.next_u64() != r.next_u64()
-    for _ in range(100):
-        f = r.next_float()
-        assert 0.0 <= f < 1.0
-
-
 def test_world_get_and_bounds():
     w = parse_pattern("O.\n.O")
     assert w.get(0, 0) == 1
@@ -160,11 +151,6 @@ def test_world_equality_ignores_generation():
     b = World(a.width, a.height, a.words, generation=7)
     assert a == b
     assert a != parse_pattern("OO\nO.")
-
-
-def test_from_row_ints_masks_stray_bits():
-    w = World.from_row_ints(2, 1, [0b1111])
-    assert population(w) == 2
 
 
 @pytest.mark.parametrize("words", [(0b1111,), (-1,), (1 << 70,)])
@@ -209,7 +195,7 @@ def test_world_accepts_full_last_word():
 def test_world_data_is_bytes():
     world = random_world(70, 3, 0.5, 1)
     for w in (world, World(70, 3, world.words), World.from_bytes(70, 3, bytearray(world.data)),
-              World.empty(3, 2), World.from_row_ints(3, 1, [5]), parse_pattern("O.\n.O"),
+              World.empty(3, 2), World(3, 1, (5,)), parse_pattern("O.\n.O"),
               from_cells(cells(world))):
         assert type(w.data) is bytes
         assert len(w.data) == 8 * w.height * w.row_words
@@ -224,6 +210,28 @@ def test_bytes_and_words_constructors_agree(width):
                                 for i in range(0, len(world.data), 8))
     with pytest.raises(ValueError):
         World.from_bytes(width, 4, world.data[:-1])
+
+
+def test_from_bytes_rejects_set_padding_bits():
+    # two live cells and two set padding bits: once a 2x1 world of population 4
+    with pytest.raises(ValueError, match="padding bits"):
+        World.from_bytes(2, 1, bytes([0b1111]) + bytes(7))
+    world = World.from_bytes(2, 1, bytearray([0b11]) + bytearray(7))
+    assert world == World(2, 1, (3,)) and type(world.data) is bytes
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 129])
+def test_from_bytes_padding_roundtrip(width):
+    full = from_cells(np.ones((3, width), dtype=np.uint8))
+    assert World.from_bytes(width, 3, full.data) == full
+    assert World.from_bytes(width, 3, bytearray(full.data)).words == full.words
+    if width % 64:
+        for y in range(3):  # the first padding bit, x = width, of each row
+            data = bytearray(full.data)
+            bit = 64 * full.row_words * y + width
+            data[bit >> 3] |= 1 << (bit & 7)
+            with pytest.raises(ValueError, match="padding bits"):
+                World.from_bytes(width, 3, data)
 
 
 def test_get_agrees_with_cells():
@@ -256,11 +264,6 @@ def test_population_examples():
     assert population(parse_pattern(BEACON_A)) == 6
     assert population(parse_pattern(BEACON_B)) == 8
     assert population(World.empty(5, 5)) == 0
-
-
-def test_live_cells_row_major():
-    w = parse_pattern(".O\nO.")
-    assert list(w.live_cells()) == [(1, 0), (0, 1)]
 
 
 # ---------------------------------------------------------------------------
