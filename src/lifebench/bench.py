@@ -132,7 +132,11 @@ def samples_to_csv(samples) -> str:
 
 
 def read_csv(text: str) -> list[BenchSample]:
-    """Parse benchmark CSV text; CsvSchemaError names any bad column or row."""
+    """Parse benchmark CSV text; CsvSchemaError names any bad column or row.
+
+    A row's ns_per_step must equal total_ns / steps to the 3 decimals that
+    samples_to_csv writes.
+    """
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
         raise CsvSchemaError("empty CSV, expected header " + CSV_HEADER)
@@ -155,11 +159,15 @@ def read_csv(text: str) -> list[BenchSample]:
         if len(cols) != len(expected):
             raise CsvSchemaError(f"line {i}: expected {len(expected)} columns, got {len(cols)}")
         try:
-            samples.append(BenchSample(
+            sample = BenchSample(
                 width=int(cols[0]), height=int(cols[1]), cells=int(cols[2]),
-                engine=cols[3], steps=int(cols[4]), total_ns=int(cols[5])))
+                engine=cols[3], steps=int(cols[4]), total_ns=int(cols[5]))
+            due = f"{sample.ns_per_step:.3f}"  # as samples_to_csv writes it
+            if float(cols[6]) != float(due):
+                raise ValueError(f"ns_per_step {cols[6]} is not total_ns / steps = {due}")
         except ValueError as exc:
             raise CsvSchemaError(f"line {i}: {exc}") from None
+        samples.append(sample)
     return samples
 
 

@@ -7,20 +7,23 @@ on first read, in which neighbor inputs that would fall outside the grid
 are wired to a constant-0 node. The whole world updates on every clock
 tick. The tick runs the table compiled the way synthesis would: XOR3/MAJ3
 pairs share their a ^ b, gate planes are reused once their last reader is
-done, NOT is masked so that the D inputs latch straight into the registers,
-and the neighbor shifts carry across words in contiguous 1-D ops. It
-evaluates bit-packed uint64 planes, 64 cells per gate op, with no
-allocation, and then every register latches at once.
+done, and NOT is masked so that the D inputs latch straight into the
+registers. The world's size picks the evaluator. A small world is one
+Python int in the grid.board layout, one int op per gate step, so it pays
+no numpy per-call cost. A larger one is bit-packed uint64 planes, 64 cells
+per gate op with no allocation, whose neighbor shifts carry across words in
+contiguous 1-D ops. Either way every register latches at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property
 
 import numpy as np
 
-from .grid import MASK64, World
+from .grid import MASK64, World, board, from_board, full_board
 
 # Node kind codes. XOR3/MAJ3 are the sum and carry halves of a full-adder
 # stage; everything else is an ordinary 1- or 2-input gate.
@@ -73,14 +76,29 @@ _BLOCKS = (
 _BLOCK_INDEX = {name: i for i, (name, _, _) in enumerate(_BLOCKS)}
 
 _BINARY_UFUNCS = {AND: np.bitwise_and, OR: np.bitwise_or, XOR: np.bitwise_xor}
+_OPERATORS = {np.bitwise_and: operator.and_, np.bitwise_or: operator.or_,
+              np.bitwise_xor: operator.xor}
 
 
 def _schedule():
-    """The size-independent half of Netlist._compile: the gate steps of a tick.
+    """The gate steps of a tick, compiled from the cell table for any size.
 
     Returns (steps, n_planes). A step is (ufunc, operands) over symbolic
     operands: "self" (the registers, which the last block writes), a
     neighbor name, "mask", or the index of one of n_planes gate planes.
+    Each evaluator binds them to its own values. Three passes:
+
+    * Shared XOR. An XOR3/MAJ3 pair with the same first two inputs
+      computes t = a ^ b once: sum = t ^ c, carry = (a & b) | (t & c).
+      The carry half is t's last reader in the table, so t & c is
+      computed in place.
+    * Plane liveness. Each block's output plane is taken from a free list,
+      and goes back to it after the block's last reader. A block reads all
+      its inputs before its first write to its output, so the output may
+      reuse the plane of an input that dies there.
+    * Masked NOT. NOT is x ^ mask, with mask 1 on the cells alone, so the
+      last block may write straight into the registers. Each evaluator's
+      docstring shows why their bits off the cells stay 0.
     """
     last = {}  # signal, or the (a, b) of a shared XOR, -> index of its last reader
     for i, (_, kind, sources) in enumerate(_BLOCKS):
@@ -122,6 +140,18 @@ def _schedule():
 _STEPS, _N_PLANES = _schedule()
 
 
+# Largest board, height * (width + 1) bits, that ticks as one int. An int
+# op's cost grows about linearly with the board, while numpy's per-call
+# cost (about 0.5 us for each of 33-37 ufunc calls) keeps the plane tick
+# near flat up to 100x100. Per-tick time, int / planes, median of 5 interleaved rounds on
+# a 2-vCPU Xeon, Python 3.11, numpy 2.4 (BENCH_circuit_int.json):
+#   100x100  12 / 26 us    181x181  24 / 30 us    200x200   31 / 34 us
+#   256x256  42 / 37 us    300x300  62 / 42 us    500x500  145 / 80 us
+# Over three such runs the planes first drew level at 190x190, 200x200 and
+# 256x256; 2**15 bits (180x180) stays below all three.
+_INT_TICK_MAX_BITS = 1 << 15
+
+
 class Netlist:
     """Explicit register + gate graph for one world size.
 
@@ -129,22 +159,23 @@ class Netlist:
     shared constant-0 node, and ids R+1.. are gates in topological order,
     one contiguous block of R nodes per signal of the cell table.
 
-    The registers are held bit-packed in the World.data layout, with one
-    zero guard word after each row. A tick runs the list of ufunc calls
-    that _compile makes from the cell table in four passes (contiguous
-    carries, shared XOR, plane liveness, masked NOT), 64 cells per op and
-    with no allocation. The explicit graph (kinds, inputs, reg_next), which
-    the tick never reads, is built on first read; describe() reports the
+    A tick runs the gate steps that _schedule compiles from the cell table.
+    The evaluator depends on the world's size alone: a board of at most
+    _INT_TICK_MAX_BITS bits is ticked as one Python int (_IntTick), a
+    larger one on bit-packed uint64 planes with no allocation
+    (_PlaneTick). The explicit graph (kinds, inputs, reg_next), which the
+    tick never reads, is built on first read; describe() reports the
     structure without it. Use elaborate() to build one. Do not tick an
     instance from two threads at once; distinct netlists are independent.
     """
 
-    def __init__(self, width, height, reg_init):
+    def __init__(self, width: int, height: int, initial: World):
         self.width = width
         self.height = height
         self.n_registers = width * height
-        self.reg_init = reg_init    # read-only <u8 (height, row words), reset values
-        self._compile()
+        self._initial = initial    # the reset pattern
+        small = height * (width + 1) <= _INT_TICK_MAX_BITS
+        self._eval = (_IntTick if small else _PlaneTick)(width, height)
         self.reset()
 
     kinds = property(lambda self: self._graph[0])     # int8 (C,), per gate node (const included)
@@ -181,65 +212,6 @@ class Netlist:
         nxt = const + 1 + (len(_BLOCKS) - 1) * n
         return kinds, inputs, np.arange(nxt, nxt + n, dtype=np.intp)
 
-    def _compile(self) -> None:
-        """Compile the cell table into one list of ufunc calls, as synthesis would.
-
-        A plane holds one bit per cell: each row of rw words is followed by
-        one guard word, and it is evaluated as one flat 1-D array.
-        shifted[dx + 1] holds the registers shifted so that bit x of a row
-        is cell x + dx, between an all-zero row above and below (the dead
-        boundary), so each neighbor input is a flat offset view of it. The
-        registers are the interior of shifted[1], with zero guard words.
-        Four passes over the table, all for one tick path. The last three
-        depend on the table alone, so _schedule makes them once, over
-        symbolic operands, and _compile binds those to this size's planes.
-
-        * Contiguous carries. The west and east shifts, and the bit each
-          carries across a word boundary, are 1-D ops over the flat
-          interior. No carry crosses a row, because the guard word is 0.
-        * Shared XOR. An XOR3/MAJ3 pair with the same first two inputs
-          computes t = a ^ b once: sum = t ^ c, carry = (a & b) | (t & c).
-          The carry half is t's last reader in the table, so t & c is
-          computed in place.
-        * Plane liveness. Each block's output plane is taken from a free
-          list, and goes back to it after the block's last reader. A block
-          reads all its inputs before its first write to its output, so the
-          output may reuse the plane of an input that dies there.
-        * Masked NOT. NOT is x ^ mask, with mask zero on padding bits and
-          guard words. There a neighbor input holds at most the three cells
-          of one edge column, so ge4 is 0, lt4 = ge4 ^ 0 is 0, and so is
-          next: it writes straight into the registers, keeping their
-          padding and guard words 0.
-        """
-        h = self.height
-        rw = (self.width + 63) >> 6
-        stride = rw + 1
-        size = h * stride
-        self._mask = np.zeros((h, stride), dtype=np.uint64)
-        self._mask[:, :rw] = MASK64
-        self._mask[:, rw - 1] = (1 << (self.width - 64 * (rw - 1))) - 1
-        # np.full writes every page now, so the first tick does not pay
-        # the page faults; the border rows and guard words must be 0.
-        shifted = np.full((3, h + 2, stride), 0, dtype=np.uint64)
-        flat = shifted.reshape(3, -1)
-        west, regs, east = flat[:, stride:-stride]
-        self._regs = shifted[1, 1:-1, :rw]
-        self._planes = np.full((_N_PLANES, size), 0, dtype=np.uint64)
-
-        one, top = np.uint64(1), np.uint64(63)
-        ops = [(np.left_shift, (regs, one, west)),
-               (np.right_shift, (regs, one, east))]
-        if rw > 1:  # carry the bit that crosses each word boundary
-            carry = self._planes[0][:-1]  # no gate plane is live yet
-            ops += [(np.right_shift, (regs[:-1], top, carry)),
-                    (np.bitwise_or, (west[1:], carry, west[1:])),
-                    (np.left_shift, (regs[1:], top, carry)),
-                    (np.bitwise_or, (east[:-1], carry, east[:-1]))]
-        operand = {src: flat[dx + 1, (1 + dy) * stride:(1 + dy) * stride + size]
-                   for src, (dx, dy) in _NEIGHBORS.items()}
-        operand.update(enumerate(self._planes), self=regs, mask=self._mask.reshape(-1))
-        self._ops = ops + [(ufunc, tuple(operand[arg] for arg in args)) for ufunc, args in _STEPS]
-
     @property
     def n_comb_nodes(self) -> int:
         return 1 + len(_BLOCKS) * self.n_registers
@@ -250,46 +222,157 @@ class Netlist:
 
     def reset(self) -> None:
         """Latch the reset pattern into the registers."""
-        np.bitwise_and(self.reg_init, self._mask[:, :-1], out=self._regs)
+        self._eval.load(self._initial)
 
     def load(self, world: World) -> None:
-        """Overwrite register state with a world of matching size (one buffer copy)."""
+        """Overwrite register state with a world of matching size."""
         if (world.width, world.height) != (self.width, self.height):
             raise SizeMismatch(
                 f"netlist is {self.width}x{self.height}, world is {world.width}x{world.height}")
-        words = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
-        np.bitwise_and(words, self._mask[:, :-1], out=self._regs)
+        self._eval.load(world)
 
     def to_world(self, generation: int = 0) -> World:
-        data = self._regs.astype("<u8", copy=False).tobytes()
-        return World.from_bytes(self.width, self.height, data, generation)
+        return self._eval.world(generation)
 
     def tick(self) -> None:
         """One clock: evaluate all gate blocks from register values, then latch.
 
         Each block reads only registers and earlier blocks, and the
-        registers are overwritten by the last op alone, so no register
+        registers are overwritten by the last step alone, so no register
         update is visible before the simultaneous latch.
         """
-        for op, args in self._ops:
-            op(*args)
+        self._eval.tick()
 
     def describe(self) -> dict:
         """The netlist's structure, from the cell table and the compiled tick.
 
         nodes: node count per kind in the explicit graph (REG for the
         registers), which is not built; depth: logic depth in gate levels
-        from the registers to their D inputs; ops_per_tick: ufunc calls per
+        from the registers to their D inputs; evaluator: "int" or
+        "planes"; ops_per_tick: the evaluator's operator or ufunc calls per
         clock; plane_bytes: bytes of the gate planes the tick evaluates
-        into, the NOT mask included (not the registers and their shifts).
+        into, the NOT mask included (not the registers and their shifts),
+        0 for the int evaluator.
         """
         nodes = {"REG": self.n_registers, **dict.fromkeys(KIND_NAMES, 0), "CONST0": 1}
         level = dict.fromkeys(("self", *_NEIGHBORS), 0)
         for name, kind, sources in _BLOCKS:
             nodes[KIND_NAMES[kind]] += self.n_registers
             level[name] = 1 + max(level[src] for src in sources)
-        return {"nodes": nodes, "depth": max(level.values()), "ops_per_tick": len(self._ops),
-                "plane_bytes": self._mask.nbytes + self._planes.nbytes}
+        return {"nodes": nodes, "depth": max(level.values()), "evaluator": self._eval.name,
+                "ops_per_tick": self._eval.ops_per_tick, "plane_bytes": self._eval.plane_bytes}
+
+
+class _IntTick:
+    """The registers as one int, a grid.board, and the gate steps over it.
+
+    Every signal is a board-sized int in a list of slots: the gate planes
+    of _STEPS, then the registers, the mask and the eight neighbor inputs.
+    A neighbor input is the registers, or their west (<< 1) or east (>> 1)
+    shift, shifted one row up (<< stride) or down (>> stride); bits shifted
+    in are 0, the dead boundary. The mask is the all-cells board. Outside
+    it (guard bits and the bits past the last row) the registers are 0, so
+    lt4 = ge4 ^ 0 = ge4 there and next is ge4 & bit1 & bit0, set only by a
+    count of 7. Such a bit sees at most six cells, the two edge columns
+    beside a guard bit, so next writes 0 there and the registers stay a
+    board. CPython allocates a new int per op.
+    """
+
+    name = "int"
+    plane_bytes = 0
+
+    def __init__(self, width: int, height: int):
+        self._width, self._height, self._stride = width, height, width + 1
+        slot = {name: _N_PLANES + i for i, name in enumerate(("self", "mask", *_NEIGHBORS))}
+        self._reg, self._nbr = slot["self"], slot["nw"]
+        self._v = [0] * (_N_PLANES + len(slot))
+        self._v[slot["mask"]] = full_board(width, height)
+        self._steps = [(_OPERATORS[ufunc], *(slot.get(arg, arg) for arg in args))
+                       for ufunc, args in _STEPS]
+        self.ops_per_tick = 8 + len(self._steps)  # the neighbor shifts, then the gates
+
+    def load(self, world: World) -> None:
+        self._v[self._reg] = board(world)
+
+    def world(self, generation: int) -> World:
+        return from_board(self._v[self._reg], self._width, self._height, generation)
+
+    def tick(self) -> None:
+        v, s = self._v, self._stride
+        r = v[self._reg]
+        west, east = r << 1, r >> 1
+        # in _NEIGHBORS order: nw, n, ne, w, e, sw, s, se
+        v[self._nbr:] = west << s, r << s, east << s, west, east, west >> s, r >> s, east >> s
+        for op, a, b, out in self._steps:
+            v[out] = op(v[a], v[b])
+
+
+class _PlaneTick:
+    """The registers as bit-packed uint64 planes, and the gate steps over them.
+
+    A plane holds one bit per cell: each row of rw words is followed by
+    one guard word, and it is evaluated as one flat 1-D array.
+    shifted[dx + 1] holds the registers shifted so that bit x of a row is
+    cell x + dx, between an all-zero row above and below (the dead
+    boundary), so each neighbor input is a flat offset view of it. The
+    registers are the interior of shifted[1], with zero guard words. The
+    tick is a list of ufunc calls, 64 cells per op and with no allocation:
+    the west and east shifts, and the bit each carries across a word
+    boundary, as 1-D ops over the flat interior (no carry crosses a row,
+    because the guard word is 0), then _STEPS bound to this size's planes.
+    The mask is zero on padding bits and guard words. There a neighbor
+    input holds at most the three cells of one edge column, so ge4 is 0,
+    lt4 = ge4 ^ 0 is 0, and so is next: it writes straight into the
+    registers, keeping their padding and guard words 0.
+    """
+
+    name = "planes"
+
+    def __init__(self, width: int, height: int):
+        h = height
+        rw = (width + 63) >> 6
+        stride = rw + 1
+        size = h * stride
+        self._width, self._height = width, height
+        self._mask = np.zeros((h, stride), dtype=np.uint64)
+        self._mask[:, :rw] = MASK64
+        self._mask[:, rw - 1] = (1 << (width - 64 * (rw - 1))) - 1
+        # np.full writes every page now, so the first tick does not pay
+        # the page faults; the border rows and guard words must be 0.
+        shifted = np.full((3, h + 2, stride), 0, dtype=np.uint64)
+        flat = shifted.reshape(3, -1)
+        west, regs, east = flat[:, stride:-stride]
+        self._regs = shifted[1, 1:-1, :rw]
+        planes = np.full((_N_PLANES, size), 0, dtype=np.uint64)
+
+        one, top = np.uint64(1), np.uint64(63)
+        ops = [(np.left_shift, (regs, one, west)),
+               (np.right_shift, (regs, one, east))]
+        if rw > 1:  # carry the bit that crosses each word boundary
+            carry = planes[0][:-1]  # no gate plane is live yet
+            ops += [(np.right_shift, (regs[:-1], top, carry)),
+                    (np.bitwise_or, (west[1:], carry, west[1:])),
+                    (np.left_shift, (regs[1:], top, carry)),
+                    (np.bitwise_or, (east[:-1], carry, east[:-1]))]
+        operand = {src: flat[dx + 1, (1 + dy) * stride:(1 + dy) * stride + size]
+                   for src, (dx, dy) in _NEIGHBORS.items()}
+        operand.update(enumerate(planes), self=regs, mask=self._mask.reshape(-1))
+        self._ops = ops + [(ufunc, tuple(operand[arg] for arg in args)) for ufunc, args in _STEPS]
+        self.ops_per_tick = len(self._ops)
+        self.plane_bytes = self._mask.nbytes + planes.nbytes
+
+    def load(self, world: World) -> None:
+        """One buffer copy."""
+        words = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
+        np.bitwise_and(words, self._mask[:, :-1], out=self._regs)
+
+    def world(self, generation: int) -> World:
+        data = self._regs.astype("<u8", copy=False).tobytes()
+        return World.from_bytes(self._width, self._height, data, generation)
+
+    def tick(self) -> None:
+        for op, args in self._ops:
+            op(*args)
 
 
 def elaborate(width: int, height: int, initial: World | None = None) -> Netlist:
@@ -306,8 +389,7 @@ def elaborate(width: int, height: int, initial: World | None = None) -> Netlist:
         raise SizeMismatch(
             f"initial world is {initial.width}x{initial.height}, netlist is {width}x{height}")
 
-    data = (initial or World.empty(width, height)).data
-    return Netlist(width, height, np.frombuffer(data, dtype="<u8").reshape(height, -1))
+    return Netlist(width, height, initial or World.empty(width, height))
 
 
 def count_resources(netlist: Netlist) -> tuple[int, int]:

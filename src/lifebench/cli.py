@@ -171,6 +171,10 @@ def cmd_report(args) -> int:
         label, sep, path = item.partition("=")
         if not sep:
             label, path = Path(item).stem, item
+        if not label:
+            print(f"error: expected --input [LABEL=]PATH with a nonempty label, got {item!r}",
+                  file=sys.stderr)
+            return EXIT_USAGE
         try:
             text = Path(path).read_text("ascii")
         except OSError as exc:
@@ -192,14 +196,14 @@ def cmd_report(args) -> int:
     for item in args.power or []:
         label, sep, watts_s = item.partition("=")
         try:
-            if not sep:
+            if not (sep and label):
                 raise ValueError
             watts = float(watts_s)
             if not (math.isfinite(watts) and watts > 0):
                 raise ValueError
         except ValueError:
-            print(f"error: expected --power label=watts with positive finite watts, got {item!r}",
-                  file=sys.stderr)
+            print(f"error: expected --power LABEL=WATTS with a nonempty label and positive "
+                  f"finite watts, got {item!r}", file=sys.stderr)
             return EXIT_USAGE
         profiles[label] = PowerProfile(label, watts, "command line")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import circuit as _circuit
-from .grid import World, cells, from_cells
+from .grid import World, board, cells, from_board, from_cells, full_board
 
 ENGINE_KINDS = ("reference", "bitsliced", "circuit")
 
@@ -83,20 +83,15 @@ class ReferenceEngine:
         return from_cells(self._interior(), self._generation)
 
 
-def _plane_int(plane: np.ndarray) -> int:
-    """The bits of a 0/1 array, row-major, as one int (first bit lowest)."""
-    return int.from_bytes(np.packbits(plane, bitorder="little").tobytes(), "little")
-
-
 class BitSlicedEngine:
     """All cells updated at once with boolean adder chains on one big integer.
 
-    Layout: bit (x, y) sits at position y * (width + 1) + x. The extra
-    guard column per row is always zero, so a shift by one never carries a
-    row edge into its neighbor row; shifted-in bits are zero everywhere
-    (the same fixed dead boundary as the halo in the reference engine).
-    The stride stays width + 1, the narrowest the step allows: load() and
-    world() convert a (height, width + 1) plane with int.from/to_bytes.
+    Layout: grid.board's, bit (x, y) at position y * (width + 1) + x. The
+    extra guard column per row is always zero, so a shift by one never
+    carries a row edge into its neighbor row; shifted-in bits are zero
+    everywhere (the same fixed dead boundary as the halo in the reference
+    engine). The stride stays width + 1, the narrowest the step allows;
+    load() and world() are grid.board and grid.from_board.
 
     Per step: 2-bit horizontal sums (pair for the cell's own row, triple
     for the rows above and below) are combined by full adders into the
@@ -119,14 +114,11 @@ class BitSlicedEngine:
 
     def load(self, world: World) -> None:
         w, h = world.width, world.height
-        plane = np.zeros((h, w + 1), dtype=np.uint8)  # the guard column stays 0
         if (w, h) != (self._width, self._height):
             self._width, self._height = w, h
             self._stride = w + 1
-            plane[:, :w] = 1
-            self._full = _plane_int(plane)
-        plane[:, :w] = cells(world)
-        self._board = _plane_int(plane)
+            self._full = full_board(w, h)
+        self._board = board(world)
         self._generation = world.generation
 
     def step(self) -> None:
@@ -159,10 +151,7 @@ class BitSlicedEngine:
         self._generation += 1
 
     def world(self) -> World:
-        n = self._height * self._stride
-        octets = np.frombuffer(self._board.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
-        plane = np.unpackbits(octets, count=n, bitorder="little").reshape(self._height, -1)
-        return from_cells(plane[:, :self._width], self._generation)
+        return from_board(self._board, self._width, self._height, self._generation)
 
 
 class CircuitEngine:

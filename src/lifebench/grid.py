@@ -7,7 +7,9 @@ the text order of the plaintext pattern format ('.' dead, 'O' alive).
 
 A World's cells are one immutable bytes object, World.data. cells() and
 from_cells() are the one codec between it and an (height, width) 0/1
-array; the generator, pattern text and every engine use it.
+array; the generator, pattern text and the byte and plane engines use it.
+board() and from_board() convert a World to and from the one-int layout
+that the bit-sliced engine and the circuit's small-world tick step.
 """
 
 from __future__ import annotations
@@ -173,6 +175,35 @@ def from_cells(bits, generation: int = 0) -> World:
     octets = np.zeros((height, 8 * ((width + 63) >> 6)), dtype=np.uint8)
     octets[:, :(width + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
     return World.from_bytes(width, height, octets.tobytes(), generation)
+
+
+# A board is a world as one int, the layout of the int-based engines: bit
+# (x, y) sits at y * (width + 1) + x. The guard bit x = width of each row is
+# 0, so a shift by one never carries a cell into the next row.
+
+
+def board(world: World) -> int:
+    """The world as a board; its guard bits are the World's zero padding bits."""
+    rows = np.frombuffer(world.data, dtype=np.uint8).reshape(world.height, -1)
+    plane = np.unpackbits(rows, axis=1, count=world.width + 1, bitorder="little")
+    return int.from_bytes(np.packbits(plane, bitorder="little").tobytes(), "little")
+
+
+def from_board(value: int, width: int, height: int, generation: int = 0) -> World:
+    """World from a width x height board; its guard bits are ignored."""
+    n = height * (width + 1)
+    octets = np.frombuffer(value.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
+    plane = np.unpackbits(octets, count=n, bitorder="little").reshape(height, -1)
+    return from_cells(plane[:, :width], generation)
+
+
+def full_board(width: int, height: int) -> int:
+    """The board with every cell set and every guard bit 0."""
+    full, rows = (1 << width) - 1, 1
+    while rows < height:  # double the rows that are set
+        full |= full << (rows * (width + 1))
+        rows *= 2
+    return full & ((1 << (height * (width + 1))) - 1)
 
 
 def parse_pattern(text: str) -> World:

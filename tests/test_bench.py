@@ -2,10 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lifebench.bench import (CSV_HEADER, BenchConfig, ClockError, CsvSchemaError,
-                             DEFAULT_SIZES, DegeneratePoints, ZeroDivisor, linear_fit,
-                             read_csv, run_bench, samples_to_csv, speedup)
+from lifebench.bench import (CSV_HEADER, BenchConfig, BenchSample, ClockError,
+                             CsvSchemaError, DEFAULT_SIZES, DegeneratePoints, ZeroDivisor,
+                             linear_fit, read_csv, run_bench, samples_to_csv, speedup)
+from lifebench.engines import ENGINE_KINDS
 from lifebench.refdata import OutOfRange, fpga_time_model
 
 from helpers import MAC_INTERCEPT, MAC_POINTS, MAC_R2, MAC_SLOPE, FakeClock
@@ -96,6 +99,55 @@ def test_csv_schema_mismatch_names_column():
         read_csv("")
     with pytest.raises(CsvSchemaError, match="line 2"):
         read_csv(CSV_HEADER + "\n1,1,1,x,banana,10,1.0\n")
+
+
+_SAMPLES = st.lists(st.builds(
+    lambda w, h, engine, steps, total_ns: BenchSample(w, h, w * h, engine, steps, total_ns),
+    st.integers(1, 10 ** 6), st.integers(1, 10 ** 6), st.sampled_from(ENGINE_KINDS),
+    st.integers(1, 2 ** 64), st.integers(0, 2 ** 63 - 1)), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SAMPLES)
+def test_csv_roundtrip_any_samples(samples):
+    assert read_csv(samples_to_csv(samples)) == samples
+
+
+def _reads_as(text, value):
+    try:
+        return float(text) == float(value)
+    except ValueError:
+        return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SAMPLES, st.data())
+def test_csv_rejects_corrupt_row(samples, data):
+    lines = samples_to_csv(samples).splitlines()
+    row = data.draw(st.integers(1, len(samples)))
+    cols = lines[row].split(",")
+    if data.draw(st.booleans()):  # an ns_per_step that disagrees with total_ns / steps
+        bad = data.draw(st.one_of(st.floats().map(repr), st.text("0123456789.-e", max_size=8)))
+        assume(not _reads_as(bad, cols[6]))
+        cols[6] = bad
+    elif data.draw(st.booleans()):
+        cols.pop()
+    else:
+        cols.append("0")
+    lines[row] = ",".join(cols)
+    with pytest.raises(CsvSchemaError, match=f"^line {row + 1}: "):
+        read_csv("\n".join(lines) + "\n")
+
+
+def test_csv_ns_per_step_checked():
+    row = "10,10,100,reference,3,1000,{}\n"
+    assert read_csv(CSV_HEADER + "\n" + row.format("333.333"))[0].total_ns == 1000
+    assert read_csv(CSV_HEADER + "\n" + row.format("333.3330"))[0].total_ns == 1000
+    for bad in ("9.5", "333.33", "333.334", "nan"):
+        with pytest.raises(CsvSchemaError, match="line 2: ns_per_step"):
+            read_csv(CSV_HEADER + "\n" + row.format(bad))
+    with pytest.raises(CsvSchemaError, match="line 2: could not convert"):
+        read_csv(CSV_HEADER + "\n" + row.format(""))
 
 
 def test_linear_fit_exact_line():

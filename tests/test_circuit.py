@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from helpers import BEACON_A, BEACON_B, cells_of, tick_in_order
-from lifebench.circuit import CONST0, KIND_NAMES, SizeMismatch, count_resources, elaborate
+from lifebench.circuit import (_INT_TICK_MAX_BITS, CONST0, KIND_NAMES, SizeMismatch,
+                              count_resources, elaborate)
+from lifebench.engines import CircuitEngine, run
 from lifebench.grid import World, parse_pattern, population, random_world
 from lifebench.refdata import (REGISTER_OVERHEAD, CalibrationTable, CalRow, OutOfRange,
                                estimate_resources, fpga_time_model, load_calibration)
@@ -157,9 +159,9 @@ def test_load_size_mismatch():
 
 def test_tick_order_insensitive():
     # Latching must not depend on the order combinational nodes settle.
-    # 70 and 128 columns straddle a word, so the packed tick's cross-word
-    # carry is checked against the explicit graph too; 64 and 128 fill their
-    # last word, so a cell shifted into the row's guard word would show.
+    # These worlds tick on one int, so a cell shifted into a guard bit would
+    # show; the plane tick's cross-word carries are checked against the
+    # bitsliced engine in test_engines.py.
     rng = np.random.default_rng(9)
     for width, height in [(4, 4), (70, 3), (64, 3), (128, 2)]:
         world = random_world(width, height, 0.5, 12)
@@ -178,6 +180,11 @@ def test_tick_order_insensitive():
             assert n.to_world() == expected
 
 
+def tall(width):
+    """Height of the shortest world of this width that ticks on planes."""
+    return _INT_TICK_MAX_BITS // (width + 1) + 1
+
+
 def test_describe_pinned():
     for width, height in [(2, 2), (70, 3)]:
         n = elaborate(width, height)
@@ -190,14 +197,31 @@ def test_describe_pinned():
             if name != "REG":
                 assert np.count_nonzero(n.kinds == KIND_NAMES.index(name)) == count
         assert info["depth"] == 8 == comb_level(n).max()
-    # 2 shifts, 4 pairs of XOR3/MAJ3 at 5 ops each and 11 other gates; plus
-    # 4 carry ops when a row spans more than one word.
+        # 8 neighbor shifts, 4 pairs of XOR3/MAJ3 at 5 ops each and 11
+        # other gates, whatever the width
+        assert (info["evaluator"], info["ops_per_tick"], info["plane_bytes"]) == ("int", 39, 0)
+    # On planes: 2 shifts, the same 31 gate steps, plus 4 carry ops when a
+    # row spans more than one word.
     for width in (1, 64):
-        assert elaborate(width, 5).describe()["ops_per_tick"] == 33
+        info = elaborate(width, tall(width)).describe()
+        assert (info["evaluator"], info["ops_per_tick"]) == ("planes", 33)
     for width in (65, 1000):
-        assert elaborate(width, 5).describe()["ops_per_tick"] == 37
+        info = elaborate(width, tall(width)).describe()
+        assert (info["evaluator"], info["ops_per_tick"]) == ("planes", 37)
     plane = 1000 * 16 * 8  # one uint64 plane of a 1000x1000 world
     assert elaborate(1000, 1000).describe()["plane_bytes"] <= 10 * plane
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 200])
+def test_evaluator_follows_board_size(width):
+    # The largest int board and the smallest plane board, each against bitsliced.
+    height = tall(width)
+    assert (height - 1) * (width + 1) <= _INT_TICK_MAX_BITS < height * (width + 1)
+    for h, evaluator in ((height - 1, "int"), (height, "planes")):
+        world = random_world(width, h, 0.4, width)
+        netlist = elaborate(width, h)
+        assert netlist.describe()["evaluator"] == evaluator
+        assert run(CircuitEngine(netlist=netlist), world, 3) == run("bitsliced", world, 3)
 
 
 # ---------------------------------------------------------------------------

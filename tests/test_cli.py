@@ -351,6 +351,29 @@ def test_report_reserved_fpga_label_exit_2(tmp_path, capsys):
     assert err == "error: device name 'fpga' is reserved for the FPGA model\n"
 
 
+@pytest.mark.parametrize("argv", [["--input", "=PATH"], ["--input", "lab=PATH", "--power", "=3"]])
+def test_report_empty_label_exit_2(tmp_path, capsys, argv):
+    path = bench_csv(tmp_path, "x.csv", [(10, 10, 100, 250_000), (20, 20, 100, 900_000)])
+    argv = [arg.replace("PATH", path) for arg in argv]
+    code, out, err = run_cli(["report", *argv, "--format", "csv",
+                              "--plot-data", str(tmp_path / "pe")], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "nonempty label" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+
+def test_report_ns_per_step_mismatch_exit_2(tmp_path, capsys):
+    path = tmp_path / "mism.csv"
+    path.write_text("width,height,cells,engine,steps,total_ns,ns_per_step\n"
+                    "10,10,100,reference,3,1000,9.5\n")
+    code, out, err = run_cli(["report", "--input", f"lab={path}"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {path}: line 2: ns_per_step 9.5 is not "
+                   "total_ns / steps = 333.333\n")
+
+
 # ---------------------------------------------------------------------------
 # argument fuzzing: every input succeeds or fails cleanly (bench is left out,
 # as its default floors run for hours)
@@ -367,6 +390,11 @@ _HEADER = "width,height,cells,engine,steps,total_ns,ns_per_step"
 _CSV_ROW = st.tuples(st.integers(1, 110), st.integers(1, 110),
                      st.sampled_from(["reference", "", "x y"]), st.integers(1, 10 ** 9),
                      st.one_of(st.integers(0, 10 ** 12), st.sampled_from([-1, 2 ** 63, 10 ** 400])))
+
+
+def _ns_per_step(total_ns, steps):
+    """The column as samples_to_csv writes it, where a float holds it."""
+    return f"{total_ns / steps:.3f}" if total_ns < 2 ** 1000 else "1.0"
 
 
 def _assert_clean(argv):
@@ -397,7 +425,7 @@ def test_fuzz_report(published, fmt, powers, label, header, rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "in.csv")
         path.write_text("".join(f"{line}\n" for line in [header] + [
-            f"{w},{h},{w * h},{engine},{steps},{total_ns},1.0"
+            f"{w},{h},{w * h},{engine},{steps},{total_ns},{_ns_per_step(total_ns, steps)}"
             for w, h, engine, steps, total_ns in rows]))
         argv = ["report", f"--format={fmt}", f"--plot-data={tmp}/plot", f"--input={label}={path}"]
         argv += ["--published"] * published

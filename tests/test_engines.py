@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from helpers import (BEACON_A, BEACON_B, GLIDER, cells_of, crop, embed, naive_step,
                      neighbor_count, next_cell_state, row_ints, world_from_cells,
                      world_from_rows)
-from lifebench.circuit import SizeMismatch, elaborate
+from lifebench.circuit import _INT_TICK_MAX_BITS, SizeMismatch, elaborate
 from lifebench.engines import ENGINE_KINDS, CircuitEngine, make_engine, run
 from lifebench.grid import Rng, World, parse_pattern, population, random_world
 
@@ -108,11 +108,12 @@ def test_circuit_equals_reference_32x32():
 
 
 def test_cross_engine_equivalence_size_sweep():
-    # Degenerate and odd shapes from 1x1 up to 100x100, a few steps each.
+    # Degenerate and odd shapes from 1x1 up to 100x100, a few steps each, and
+    # 200x200, past the largest board the circuit ticks as one int.
     sizes = [(1, 1), (1, 2), (2, 1), (1, 8), (8, 1), (2, 2), (3, 3), (1, 100),
              (100, 1), (2, 63), (63, 2), (64, 1), (64, 2), (65, 3), (5, 5),
              (7, 4), (9, 17), (13, 13), (31, 2), (32, 32), (33, 7), (50, 17),
-             (64, 64), (65, 65), (77, 3), (100, 100)]
+             (64, 64), (65, 65), (77, 3), (100, 100), (200, 200)]
     rng = Rng(888)
     for w, h in sizes:
         world = random_world(w, h, 0.5, rng.next_u64())
@@ -130,16 +131,35 @@ def test_cross_engine_equivalence_size_sweep():
 def test_compiled_tick_matches_bitsliced(data):
     # Widths at word boundaries are drawn explicitly and so often, as the
     # carry, guard-word and masked-NOT passes of the compiled tick meet them.
+    # A tall world repeats the drawn rows past the largest int board, so
+    # the same widths reach the plane tick too.
     width = data.draw(st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 200)))
-    height = data.draw(st.integers(1, 6))
-    rows = data.draw(st.lists(st.integers(0, 2 ** width - 1), min_size=height, max_size=height))
-    world = world_from_rows(width, height, rows)
-    circuit, oracle = make_engine("circuit", world), make_engine("bitsliced", world)
+    rows = data.draw(st.lists(st.integers(0, 2 ** width - 1), min_size=1, max_size=6))
+    evaluator = data.draw(st.sampled_from(["int", "planes"]))
+    height = len(rows) + (_INT_TICK_MAX_BITS // (width + 1) if evaluator == "planes" else 0)
+    world = world_from_rows(width, height, (rows * height)[:height])
+    netlist = elaborate(width, height)
+    assert netlist.describe()["evaluator"] == evaluator
+    circuit, oracle = CircuitEngine(world, netlist=netlist), make_engine("bitsliced", world)
     for _ in range(data.draw(st.integers(1, 8))):
         circuit.step()
         oracle.step()
         # world() raises if the registers' padding bits are set
         assert circuit.world() == oracle.world()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.data())
+def test_engines_agree_on_arbitrary_worlds(width, height, data):
+    # Beside criterion 2's seeded worlds: any world up to 12x12, where the
+    # reference engine is the oracle, since bitsliced and the circuit's int
+    # tick share grid.board.
+    rows = data.draw(st.lists(st.integers(0, 2 ** width - 1), min_size=height, max_size=height))
+    world = world_from_rows(width, height, rows)
+    steps = data.draw(st.integers(1, 4))
+    expected = run("reference", world, steps)
+    assert run("bitsliced", world, steps) == expected
+    assert run("circuit", world, steps) == expected
 
 
 @pytest.mark.parametrize("kind", ENGINE_KINDS)

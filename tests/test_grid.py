@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (BEACON_A, BEACON_B, BEACON_A_CELLS, cells_of, random_world_oracle,
-                     row_ints)
+                     row_ints, world_from_rows)
 from lifebench.grid import (BadDensity, EmptyPattern, IllegalChar, RaggedLines, Rng,
-                            World, cells, from_cells, parse_pattern, population,
-                            random_world, serialize_pattern)
+                            World, board, cells, from_board, from_cells, full_board,
+                            parse_pattern, population, random_world, serialize_pattern)
 
 
 def test_parse_beacon():
@@ -292,6 +292,33 @@ def test_cells_codec_roundtrip(width):
     again = from_cells(bits, generation=9)
     assert again == world and again.words == world.words
     assert again.generation == 9
+
+
+@st.composite
+def worlds(draw):
+    width = draw(st.integers(1, 130))
+    height = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.integers(0, 2 ** width - 1), min_size=height, max_size=height))
+    return world_from_rows(width, height, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(worlds())
+def test_board_codec_roundtrip(world):
+    w, h = world.width, world.height
+    value = board(world)
+    assert value == sum(world.get(x, y) << (y * (w + 1) + x)
+                        for y in range(h) for x in range(w))
+    assert value & ~full_board(w, h) == 0  # guard bits 0
+    again = from_board(value, w, h, generation=5)
+    assert again == world and again.generation == 5
+    assert full_board(w, h) == board(from_cells(np.ones((h, w), dtype=bool)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(worlds())
+def test_pattern_roundtrip_any_world(world):
+    assert parse_pattern(serialize_pattern(world)) == world
 
 
 @pytest.mark.parametrize("text, error, message", [
