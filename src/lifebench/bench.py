@@ -16,6 +16,7 @@ from .engines import ENGINE_KINDS, make_engine
 from .grid import Rng, random_world
 
 CSV_HEADER = "width,height,cells,engine,steps,total_ns,ns_per_step"
+_COLUMN_TYPES = (int, int, int, str, int, int, float)
 
 DEFAULT_SIZES = tuple((k, k) for k in range(10, 101, 10))
 
@@ -158,12 +159,18 @@ def read_csv(text: str) -> list[BenchSample]:
         cols = line.split(",")
         if len(cols) != len(expected):
             raise CsvSchemaError(f"line {i}: expected {len(expected)} columns, got {len(cols)}")
+        values = []
+        for name, kind, text in zip(expected, _COLUMN_TYPES, cols):
+            try:
+                values.append(kind(text))
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise CsvSchemaError(f"line {i}: {name} {text!r} is not {what}") from None
+        *fields, ns_per_step = values
         try:
-            sample = BenchSample(
-                width=int(cols[0]), height=int(cols[1]), cells=int(cols[2]),
-                engine=cols[3], steps=int(cols[4]), total_ns=int(cols[5]))
+            sample = BenchSample(*fields)
             due = f"{sample.ns_per_step:.3f}"  # as samples_to_csv writes it
-            if float(cols[6]) != float(due):
+            if ns_per_step != float(due):
                 raise ValueError(f"ns_per_step {cols[6]} is not total_ns / steps = {due}")
         except ValueError as exc:
             raise CsvSchemaError(f"line {i}: {exc}") from None

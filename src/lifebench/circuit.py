@@ -10,9 +10,10 @@ pairs share their a ^ b, gate planes are reused once their last reader is
 done, and NOT is masked so that the D inputs latch straight into the
 registers. The world's size picks the evaluator. A small world is one
 Python int in the grid.board layout, one int op per gate step, so it pays
-no numpy per-call cost. A larger one is bit-packed uint64 planes, 64 cells
-per gate op with no allocation, whose neighbor shifts carry across words in
-contiguous 1-D ops. Either way every register latches at once.
+no numpy per-call cost. A larger one is bit-packed uint64 planes
+(grid.Planes, the bit-sliced engine's layout too), 64 cells per gate op
+with no allocation, whose neighbor shifts carry across words in contiguous
+1-D ops. Either way every register latches at once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import MASK64, World, board, from_board, full_board
+from .grid import Planes, World, board, from_board, full_board
 
 # Node kind codes. XOR3/MAJ3 are the sum and carry halves of a full-adder
 # stage; everything else is an ordinary 1- or 2-input gate.
@@ -308,67 +309,32 @@ class _IntTick:
 
 
 class _PlaneTick:
-    """The registers as bit-packed uint64 planes, and the gate steps over them.
+    """The registers as grid.Planes, and the gate steps over them.
 
-    A plane holds one bit per cell: each row of rw words is followed by
-    one guard word, and it is evaluated as one flat 1-D array.
-    shifted[dx + 1] holds the registers shifted so that bit x of a row is
-    cell x + dx, between an all-zero row above and below (the dead
-    boundary), so each neighbor input is a flat offset view of it. The
-    registers are the interior of shifted[1], with zero guard words. The
-    tick is a list of ufunc calls, 64 cells per op and with no allocation:
-    the west and east shifts, and the bit each carries across a word
-    boundary, as 1-D ops over the flat interior (no carry crosses a row,
-    because the guard word is 0), then _STEPS bound to this size's planes.
-    The mask is zero on padding bits and guard words. There a neighbor
-    input holds at most the three cells of one edge column, so ge4 is 0,
-    lt4 = ge4 ^ 0 is 0, and so is next: it writes straight into the
-    registers, keeping their padding and guard words 0.
+    Bordered planes 1 and 2 hold the registers shifted west and east, so
+    each neighbor input is a flat offset view of plane 0, 1 or 2. The tick
+    is a list of ufunc calls, 64 cells per op and with no allocation: the
+    west and east shifts with their carries (Planes.shifts), then _STEPS
+    bound to this size's planes. The mask is zero on padding bits and
+    guard words. There a neighbor input holds at most the three cells of
+    one edge column, so ge4 is 0, lt4 = ge4 ^ 0 is 0, and so is next: it
+    writes straight into the registers, keeping their padding and guard
+    words 0.
     """
 
     name = "planes"
 
     def __init__(self, width: int, height: int):
-        h = height
-        rw = (width + 63) >> 6
-        stride = rw + 1
-        size = h * stride
-        self._width, self._height = width, height
-        self._mask = np.zeros((h, stride), dtype=np.uint64)
-        self._mask[:, :rw] = MASK64
-        self._mask[:, rw - 1] = (1 << (width - 64 * (rw - 1))) - 1
-        # np.full writes every page now, so the first tick does not pay
-        # the page faults; the border rows and guard words must be 0.
-        shifted = np.full((3, h + 2, stride), 0, dtype=np.uint64)
-        flat = shifted.reshape(3, -1)
-        west, regs, east = flat[:, stride:-stride]
-        self._regs = shifted[1, 1:-1, :rw]
-        planes = np.full((_N_PLANES, size), 0, dtype=np.uint64)
-
-        one, top = np.uint64(1), np.uint64(63)
-        ops = [(np.left_shift, (regs, one, west)),
-               (np.right_shift, (regs, one, east))]
-        if rw > 1:  # carry the bit that crosses each word boundary
-            carry = planes[0][:-1]  # no gate plane is live yet
-            ops += [(np.right_shift, (regs[:-1], top, carry)),
-                    (np.bitwise_or, (west[1:], carry, west[1:])),
-                    (np.left_shift, (regs[1:], top, carry)),
-                    (np.bitwise_or, (east[:-1], carry, east[:-1]))]
-        operand = {src: flat[dx + 1, (1 + dy) * stride:(1 + dy) * stride + size]
-                   for src, (dx, dy) in _NEIGHBORS.items()}
-        operand.update(enumerate(planes), self=regs, mask=self._mask.reshape(-1))
-        self._ops = ops + [(ufunc, tuple(operand[arg] for arg in args)) for ufunc, args in _STEPS]
+        p = Planes(width, height, bordered=3, flat=_N_PLANES)
+        self.load, self.world = p.load, p.world
+        regs, west, east = p.row(0), p.row(1), p.row(2)
+        by_dx = {0: 0, -1: 1, 1: 2}  # the bordered plane whose bit x holds cell x + dx
+        operand = {src: p.row(by_dx[dx], dy) for src, (dx, dy) in _NEIGHBORS.items()}
+        operand.update(enumerate(p.flat), self=regs, mask=p.mask)
+        shifts = p.shifts(west, east, carry=p.flat[0])  # no gate plane is live yet
+        self._ops = shifts + [(ufunc, tuple(operand[arg] for arg in args)) for ufunc, args in _STEPS]
         self.ops_per_tick = len(self._ops)
-        self.plane_bytes = self._mask.nbytes + planes.nbytes
-
-    def load(self, world: World) -> None:
-        """One buffer copy."""
-        words = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
-        np.bitwise_and(words, self._mask[:, :-1], out=self._regs)
-
-    def world(self, generation: int) -> World:
-        data = self._regs.astype("<u8", copy=False).tobytes()
-        return World.from_bytes(self._width, self._height, data, generation)
+        self.plane_bytes = p.mask.nbytes + p.flat.nbytes
 
     def tick(self) -> None:
         for op, args in self._ops:

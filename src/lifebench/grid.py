@@ -9,7 +9,8 @@ A World's cells are one immutable bytes object, World.data. cells() and
 from_cells() are the one codec between it and an (height, width) 0/1
 array; the generator, pattern text and the byte and plane engines use it.
 board() and from_board() convert a World to and from the one-int layout
-that the bit-sliced engine and the circuit's small-world tick step.
+that the bit-sliced engine and the circuit step on small worlds; Planes
+holds a larger world in the uint64 plane layout that both step there.
 """
 
 from __future__ import annotations
@@ -204,6 +205,69 @@ def full_board(width: int, height: int) -> int:
         full |= full << (rows * (width + 1))
         rows *= 2
     return full & ((1 << (height * (width + 1))) - 1)
+
+
+class Planes:
+    """A world's cells as bit-packed uint64 planes: the layout both plane evaluators step.
+
+    A plane is one flat array of height * stride words: each row's rw
+    words, then one zero guard word, so the west and east shifts (shifts(),
+    with the bit each carries across a word boundary) are contiguous 1-D
+    ops that carry no cell into the next row. A bordered plane adds an
+    all-zero row above and below, so the rows above and below any row are
+    flat offset views of it (row()). The registers are the interior of
+    bordered plane 0. mask is 1 on the cells alone, 0 on padding bits and
+    guard words. Every buffer is allocated here, once, so a step that
+    writes into them allocates nothing.
+    """
+
+    def __init__(self, width: int, height: int, bordered: int, flat: int):
+        rw = (width + 63) >> 6
+        self.width, self.height = width, height
+        self._stride = stride = rw + 1
+        self._size = height * stride
+        self._mask = np.zeros((height, stride), dtype=np.uint64)
+        self._mask[:, :rw] = MASK64
+        self._mask[:, rw - 1] = (1 << (width - 64 * (rw - 1))) - 1
+        self.mask = self._mask.reshape(-1)
+        # np.full writes every page now, so the first step does not pay
+        # the page faults; the border rows and guard words must be 0.
+        self._bordered = np.full((bordered, height + 2, stride), 0, dtype=np.uint64)
+        self.flat = np.full((flat, self._size), 0, dtype=np.uint64)
+        self._regs = self._bordered[0, 1:-1, :rw]
+
+    def row(self, plane: int, dy: int = 0) -> np.ndarray:
+        """Bordered plane `plane` as a flat plane whose row y reads its row y + dy (|dy| <= 1)."""
+        lo = (1 + dy) * self._stride
+        return self._bordered[plane].reshape(-1)[lo:lo + self._size]
+
+    def shifts(self, west: np.ndarray, east: np.ndarray, carry: np.ndarray) -> list:
+        """(ufunc, args) ops that write the registers shifted into flat planes.
+
+        Bit x of a row of west holds cell x - 1 and of east cell x + 1;
+        bits shifted in are 0. carry is a plane that is free while they run.
+        """
+        regs = self.row(0)
+        one, top = np.uint64(1), np.uint64(63)
+        ops = [(np.left_shift, (regs, one, west)),
+               (np.right_shift, (regs, one, east))]
+        if self._stride > 2:  # carry the bit that crosses each word boundary
+            carry = carry[:-1]
+            ops += [(np.right_shift, (regs[:-1], top, carry)),
+                    (np.bitwise_or, (west[1:], carry, west[1:])),
+                    (np.left_shift, (regs[1:], top, carry)),
+                    (np.bitwise_or, (east[:-1], carry, east[:-1]))]
+        return ops
+
+    def load(self, world: World) -> None:
+        """The world into the registers: one masked buffer copy."""
+        words = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
+        np.bitwise_and(words, self._mask[:, :-1], out=self._regs)
+
+    def world(self, generation: int) -> World:
+        """The registers as a World: one buffer copy."""
+        data = self._regs.astype("<u8", copy=False).tobytes()
+        return World.from_bytes(self.width, self.height, data, generation)
 
 
 def parse_pattern(text: str) -> World:

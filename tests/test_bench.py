@@ -146,8 +146,18 @@ def test_csv_ns_per_step_checked():
     for bad in ("9.5", "333.33", "333.334", "nan"):
         with pytest.raises(CsvSchemaError, match="line 2: ns_per_step"):
             read_csv(CSV_HEADER + "\n" + row.format(bad))
-    with pytest.raises(CsvSchemaError, match="line 2: could not convert"):
+    with pytest.raises(CsvSchemaError, match="^line 2: ns_per_step '' is not a number$"):
         read_csv(CSV_HEADER + "\n" + row.format(""))
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 4, 5, 6])
+def test_csv_unparsable_cell_names_column(column):
+    cols = "10,10,100,reference,3,1000,333.333".split(",")
+    cols[column] = "banana"
+    name = CSV_HEADER.split(",")[column]
+    what = "a number" if name == "ns_per_step" else "an integer"
+    with pytest.raises(CsvSchemaError, match=f"^line 2: {name} 'banana' is not {what}$"):
+        read_csv(CSV_HEADER + "\n" + ",".join(cols) + "\n")
 
 
 def test_linear_fit_exact_line():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +8,16 @@ from helpers import (BEACON_A, BEACON_B, GLIDER, cells_of, crop, embed, naive_st
                      neighbor_count, next_cell_state, row_ints, world_from_cells,
                      world_from_rows)
 from lifebench.circuit import _INT_TICK_MAX_BITS, SizeMismatch, elaborate
-from lifebench.engines import ENGINE_KINDS, CircuitEngine, make_engine, run
+from lifebench.engines import (_INT_STEP_MAX_BITS, ENGINE_KINDS, CircuitEngine, NoWorld,
+                               make_engine, run)
 from lifebench.grid import Rng, World, parse_pattern, population, random_world
 
 ALL_ALIVE_3x3 = world_from_cells(3, 3, {(x, y) for x in range(3) for y in range(3)})
+
+
+def tall(width):
+    """Height of the shortest world of this width that the bit-sliced engine steps on planes."""
+    return _INT_STEP_MAX_BITS // (width + 1) + 1
 
 
 def test_next_cell_state_truth_table():
@@ -108,12 +116,14 @@ def test_circuit_equals_reference_32x32():
 
 
 def test_cross_engine_equivalence_size_sweep():
-    # Degenerate and odd shapes from 1x1 up to 100x100, a few steps each, and
-    # 200x200, past the largest board the circuit ticks as one int.
+    # Degenerate and odd shapes from 1x1 up to 100x100, a few steps each;
+    # 200x200, past the largest board the circuit ticks as one int; and two
+    # tall worlds, past the largest board the bit-sliced engine steps as one.
     sizes = [(1, 1), (1, 2), (2, 1), (1, 8), (8, 1), (2, 2), (3, 3), (1, 100),
              (100, 1), (2, 63), (63, 2), (64, 1), (64, 2), (65, 3), (5, 5),
              (7, 4), (9, 17), (13, 13), (31, 2), (32, 32), (33, 7), (50, 17),
-             (64, 64), (65, 65), (77, 3), (100, 100), (200, 200)]
+             (64, 64), (65, 65), (77, 3), (100, 100), (200, 200), (65, tall(65)),
+             (300, tall(300))]
     rng = Rng(888)
     for w, h in sizes:
         world = random_world(w, h, 0.5, rng.next_u64())
@@ -132,7 +142,9 @@ def test_compiled_tick_matches_bitsliced(data):
     # Widths at word boundaries are drawn explicitly and so often, as the
     # carry, guard-word and masked-NOT passes of the compiled tick meet them.
     # A tall world repeats the drawn rows past the largest int board, so
-    # the same widths reach the plane tick too.
+    # the same widths reach the plane tick too. Every board here stays below
+    # the largest one the bit-sliced engine steps as one int, so the oracle
+    # shares no plane code with the circuit's plane tick.
     width = data.draw(st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 200)))
     rows = data.draw(st.lists(st.integers(0, 2 ** width - 1), min_size=1, max_size=6))
     evaluator = data.draw(st.sampled_from(["int", "planes"]))
@@ -162,11 +174,28 @@ def test_engines_agree_on_arbitrary_worlds(width, height, data):
     assert run("circuit", world, steps) == expected
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_bitsliced_planes_match_reference(data):
+    # The bit-sliced plane step shares grid.Planes with the circuit's plane
+    # tick, so the reference engine is the oracle. The drawn rows repeat to
+    # just past the largest board the bit-sliced engine steps as one int.
+    width = data.draw(st.one_of(st.sampled_from([1, 63, 64, 65, 128, 129]), st.integers(1, 300)))
+    # rows drawn bit by bit: Hypothesis draws small integers most often
+    rows = [sum(bit << x for x, bit in enumerate(bits)) for bits in data.draw(
+        st.lists(st.lists(st.booleans(), min_size=width, max_size=width), min_size=1, max_size=4))]
+    height = tall(width)
+    world = world_from_rows(width, height, (rows * height)[:height])
+    steps = data.draw(st.integers(1, 3))
+    assert run("bitsliced", world, steps) == run("reference", world, steps)
+
+
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
 def test_step_keeps_padding_bits_zero(kind):
-    # widths straddling word boundaries; stray bits would break word equality
+    # widths straddling word boundaries; stray bits would break word
+    # equality. A tall world is stepped by the bit-sliced engine on planes.
     rng = Rng(414)
-    for w, h in [(63, 3), (64, 3), (65, 3), (100, 2)]:
+    for w, h in [(63, 3), (64, 3), (65, 3), (100, 2), (129, tall(129))]:
         world = random_world(w, h, 0.8, rng.next_u64())
         stepped = run(kind, world, 2)
         mask = (1 << (64 * stepped.row_words)) - (1 << w)
@@ -245,24 +274,56 @@ def test_dead_frame_embedding_commutes(kind):
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 129])
 def test_load_world_roundtrip(kind, width):
-    engine = make_engine(kind)
-    live = random_world(width, 3, 0.5, width).words
-    # the second load reuses the first one's buffers
-    for world in (World(width, 3, live, generation=11), World.empty(width, 3)):
-        engine.load(world)
-        back = engine.world()
-        assert back.words == world.words
-        assert back.generation == world.generation
+    # a tall world is held on the bit-sliced engine's planes
+    for height in (3, tall(width)):
+        engine = make_engine(kind)
+        live = random_world(width, height, 0.5, width).words
+        # the second load reuses the first one's buffers
+        for world in (World(width, height, live, generation=11), World.empty(width, height)):
+            engine.load(world)
+            back = engine.world()
+            assert back.words == world.words
+            assert back.generation == world.generation
 
 
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
 def test_world_readback_is_not_a_view(kind):
-    engine = make_engine(kind, random_world(70, 6, 0.5, 3))
-    out = engine.world()
-    assert type(out.data) is bytes
-    data, words = out.data, out.words
-    engine.step()
-    engine.load(random_world(70, 6, 0.5, 4))
-    engine.step()
-    assert (out.data, out.words) == (data, words)
-    assert out == World(70, 6, words)
+    # a tall world is held on the bit-sliced engine's planes
+    for h in (6, tall(70)):
+        engine = make_engine(kind, random_world(70, h, 0.5, 3))
+        out = engine.world()
+        assert type(out.data) is bytes
+        data, words = out.data, out.words
+        engine.step()
+        engine.load(random_world(70, h, 0.5, 4))
+        engine.step()
+        assert (out.data, out.words) == (data, words)
+        assert out == World(70, h, words)
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("call", ["step", "world"])
+def test_no_world_before_load(kind, call):
+    with pytest.raises(NoWorld, match="^no world loaded"):
+        getattr(make_engine(kind), call)()
+    assert issubclass(NoWorld, ValueError)
+
+
+def test_plane_steps_allocate_nothing():
+    # 20 steps of the bit-sliced plane step and 20 ticks of the circuit's
+    # plane tick, after one warm-up call, each peak below one plane's bytes.
+    plane = 500 * ((500 + 63) // 64 + 1) * 8
+    world = random_world(500, 500, 0.5, 7)
+    netlist = elaborate(500, 500, world)
+    assert netlist.describe()["evaluator"] == "planes"
+    for step in (make_engine("bitsliced", world).step, netlist.tick):
+        step()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < plane
