@@ -9,8 +9,10 @@ tick. The tick runs the table compiled the way synthesis would: XOR3/MAJ3
 pairs share their a ^ b, gate planes are reused once their last reader is
 done, and NOT is masked so that the D inputs latch straight into the
 registers. The world's size picks the evaluator. A small world is one
-Python int in the grid.board layout, one int op per gate step, so it pays
-no numpy per-call cost. A larger one is bit-packed uint64 planes
+Python int in the grid.board layout, ticked by one straight-line function
+generated from the cell table alone: one int op per gate step with no
+dispatch between them and no numpy per-call cost, though CPython still
+allocates an int per op. A larger one is bit-packed uint64 planes
 (grid.Planes, the bit-sliced engine's layout too), 64 cells per gate op
 with no allocation, whose neighbor shifts carry across words in contiguous
 1-D ops. Either way every register latches at once.
@@ -19,8 +21,7 @@ with no allocation, whose neighbor shifts carry across words in contiguous
 from __future__ import annotations
 
 import itertools
-import operator
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -77,8 +78,7 @@ _BLOCKS = (
 _BLOCK_INDEX = {name: i for i, (name, _, _) in enumerate(_BLOCKS)}
 
 _BINARY_UFUNCS = {AND: np.bitwise_and, OR: np.bitwise_or, XOR: np.bitwise_xor}
-_OPERATORS = {np.bitwise_and: operator.and_, np.bitwise_or: operator.or_,
-              np.bitwise_xor: operator.xor}
+_SYMBOLS = {np.bitwise_and: "&", np.bitwise_or: "|", np.bitwise_xor: "^"}
 
 
 def _schedule():
@@ -144,13 +144,14 @@ _STEPS, _N_PLANES = _schedule()
 # Largest board, height * (width + 1) bits, that ticks as one int. An int
 # op's cost grows about linearly with the board, while numpy's per-call
 # cost (about 0.5 us for each of 33-37 ufunc calls) keeps the plane tick
-# near flat up to 100x100. Per-tick time, int / planes, median of 5 interleaved rounds on
-# a 2-vCPU Xeon, Python 3.11, numpy 2.4 (BENCH_circuit_int.json):
-#   100x100  12 / 26 us    181x181  24 / 30 us    200x200   31 / 34 us
-#   256x256  42 / 37 us    300x300  62 / 42 us    500x500  145 / 80 us
-# Over three such runs the planes first drew level at 190x190, 200x200 and
-# 256x256; 2**15 bits (180x180) stays below all three.
-_INT_TICK_MAX_BITS = 1 << 15
+# near flat up to 100x100. Per-tick time, int / planes, median of 11
+# interleaved rounds on a 2-vCPU Xeon, Python 3.11, numpy 2.4
+# (BENCH_circuit_straight.json):
+#   100x100   7 / 16 us    200x200  19 / 23 us    225x225  23 / 26 us
+#   240x240  26 / 26 us    256x256  30 / 26 us    300x300  40 / 33 us
+# Over three such runs the planes first won at 256x256, 245x245 and
+# 240x240 (57,840 bits); 3 << 14 bits (about 221x221) stays below all three.
+_INT_TICK_MAX_BITS = 3 << 14
 
 
 class Netlist:
@@ -264,48 +265,60 @@ class Netlist:
                 "ops_per_tick": self._eval.ops_per_tick, "plane_bytes": self._eval.plane_bytes}
 
 
-class _IntTick:
-    """The registers as one int, a grid.board, and the gate steps over it.
+@cache
+def _int_tick():
+    """_STEPS as one straight-line function tick(r, stride, mask) -> next r.
 
-    Every signal is a board-sized int in a list of slots: the gate planes
-    of _STEPS, then the registers, the mask and the eight neighbor inputs.
-    A neighbor input is the registers, or their west (<< 1) or east (>> 1)
-    shift, shifted one row up (<< stride) or down (>> stride); bits shifted
-    in are 0, the dead boundary. The mask is the all-cells board. Outside
-    it (guard bits and the bits past the last row) the registers are 0, so
-    lt4 = ge4 ^ 0 = ge4 there and next is ge4 & bit1 & bit0, set only by a
-    count of 7. Such a bit sees at most six cells, the two edge columns
-    beside a guard bit, so next writes 0 there and the registers stay a
-    board. CPython allocates a new int per op.
+    Its source is written from the fixed cell table alone, once per
+    process. A neighbor input is the registers r, or their west (r << 1) or
+    east (r >> 1) shift, shifted one row up (<< stride) or down (>> stride);
+    bits shifted in are 0, the dead boundary. Then comes one line per gate
+    step, with the gate planes as locals p0, p1, ...
+    """
+    base = {-1: "west", 0: "r", 1: "east"}  # the shift whose bit x holds cell x + dx
+    name = {"self": "r", "mask": "mask"}
+    lines = ["def tick(r, stride, mask):", "west, east = r << 1, r >> 1"]
+    for src, (dx, dy) in _NEIGHBORS.items():
+        if dy:
+            lines.append(f"{src} = {base[dx]} {'<<' if dy < 0 else '>>'} stride")
+        else:
+            name[src] = base[dx]
+    for ufunc, args in _STEPS:
+        a, b, out = (f"p{arg}" if isinstance(arg, int) else name.get(arg, arg) for arg in args)
+        lines.append(f"{out} = {a} {_SYMBOLS[ufunc]} {b}")
+    scope = {}
+    exec(compile("\n    ".join([*lines, "return r\n"]), "<circuit int tick>", "exec"), scope)
+    return scope["tick"]
+
+
+class _IntTick:
+    """The registers as one int, a grid.board, ticked by _int_tick.
+
+    The mask is the all-cells board. Outside it (guard bits and the bits
+    past the last row) the registers are 0, so lt4 = ge4 ^ 0 = ge4 there
+    and next is ge4 & bit1 & bit0, set only by a count of 7. Such a bit
+    sees at most six cells, the two edge columns beside a guard bit, so
+    next writes 0 there and the registers stay a board. A tick is one call,
+    with no dispatch per gate step, but CPython still allocates an int per op.
     """
 
     name = "int"
     plane_bytes = 0
+    ops_per_tick = 8 + len(_STEPS)  # the neighbor shifts, then the gates
 
     def __init__(self, width: int, height: int):
         self._width, self._height, self._stride = width, height, width + 1
-        slot = {name: _N_PLANES + i for i, name in enumerate(("self", "mask", *_NEIGHBORS))}
-        self._reg, self._nbr = slot["self"], slot["nw"]
-        self._v = [0] * (_N_PLANES + len(slot))
-        self._v[slot["mask"]] = full_board(width, height)
-        self._steps = [(_OPERATORS[ufunc], *(slot.get(arg, arg) for arg in args))
-                       for ufunc, args in _STEPS]
-        self.ops_per_tick = 8 + len(self._steps)  # the neighbor shifts, then the gates
+        self._mask = full_board(width, height)
+        self._tick = _int_tick()
 
     def load(self, world: World) -> None:
-        self._v[self._reg] = board(world)
+        self._r = board(world)
 
     def world(self, generation: int) -> World:
-        return from_board(self._v[self._reg], self._width, self._height, generation)
+        return from_board(self._r, self._width, self._height, generation)
 
     def tick(self) -> None:
-        v, s = self._v, self._stride
-        r = v[self._reg]
-        west, east = r << 1, r >> 1
-        # in _NEIGHBORS order: nw, n, ne, w, e, sw, s, se
-        v[self._nbr:] = west << s, r << s, east << s, west, east, west >> s, r >> s, east >> s
-        for op, a, b, out in self._steps:
-            v[out] = op(v[a], v[b])
+        self._r = self._tick(self._r, self._stride, self._mask)
 
 
 class _PlaneTick:

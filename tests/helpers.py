@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from lifebench.circuit import AND, CONST0, NOT, OR, XOR, XOR3
 from lifebench.grid import MASK64, Rng, World, cells
@@ -55,6 +56,17 @@ def world_from_rows(width, height, rows, generation=0):
     row_words = (width + 63) >> 6
     words = [(r >> (64 * i)) & MASK64 for r in rows for i in range(row_words)]
     return World(width, height, words, generation)
+
+
+def bit_rows(width, min_size, max_size):
+    """Hypothesis strategy: lists of row ints, bit x = cell x, drawn bit by bit.
+
+    Drawn as st.integers(0, 2 ** width - 1), rows are mostly small, so a
+    row's high columns are rarely live.
+    """
+    row = st.lists(st.booleans(), min_size=width, max_size=width).map(
+        lambda bits: sum(bit << x for x, bit in enumerate(bits)))
+    return st.lists(row, min_size=min_size, max_size=max_size)
 
 
 def row_ints(world):

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import BEACON_A, BEACON_B, cells_of, tick_in_order
+from helpers import BEACON_A, BEACON_B, bit_rows, cells_of, tick_in_order, world_from_rows
 from lifebench.circuit import (_INT_TICK_MAX_BITS, CONST0, KIND_NAMES, SizeMismatch,
-                              count_resources, elaborate)
+                              _IntTick, _PlaneTick, count_resources, elaborate)
 from lifebench.engines import CircuitEngine, run
 from lifebench.grid import World, parse_pattern, population, random_world
 from lifebench.refdata import (REGISTER_OVERHEAD, CalibrationTable, CalRow, OutOfRange,
@@ -222,6 +224,23 @@ def test_evaluator_follows_board_size(width):
         netlist = elaborate(width, h)
         assert netlist.describe()["evaluator"] == evaluator
         assert run(CircuitEngine(netlist=netlist), world, 3) == run("bitsliced", world, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_int_and_plane_ticks_agree(data):
+    # Both bindings of the compiled gate steps on one small board, bypassing
+    # the size choice: the generated int function against the plane tick.
+    width = data.draw(st.sampled_from([1, 2, 63, 64, 65, 100]))
+    rows = data.draw(bit_rows(width, 1, 6))
+    world = world_from_rows(width, len(rows), rows)
+    ticks = [cls(width, len(rows)) for cls in (_IntTick, _PlaneTick)]
+    for t in ticks:
+        t.load(world)
+    for generation in range(1, data.draw(st.integers(1, 8)) + 1):
+        for t in ticks:
+            t.tick()
+        assert ticks[0].world(generation) == ticks[1].world(generation)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (BEACON_A, BEACON_B, GLIDER, cells_of, crop, embed, naive_step,
-                     neighbor_count, next_cell_state, row_ints, world_from_cells,
-                     world_from_rows)
+from helpers import (BEACON_A, BEACON_B, GLIDER, bit_rows, cells_of, crop, embed,
+                     naive_step, neighbor_count, next_cell_state, row_ints,
+                     world_from_cells, world_from_rows)
 from lifebench.circuit import _INT_TICK_MAX_BITS, SizeMismatch, elaborate
 from lifebench.engines import (_INT_STEP_MAX_BITS, ENGINE_KINDS, CircuitEngine, NoWorld,
                                make_engine, run)
@@ -146,9 +146,10 @@ def test_compiled_tick_matches_bitsliced(data):
     # the largest one the bit-sliced engine steps as one int, so the oracle
     # shares no plane code with the circuit's plane tick.
     width = data.draw(st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 200)))
-    rows = data.draw(st.lists(st.integers(0, 2 ** width - 1), min_size=1, max_size=6))
+    rows = data.draw(bit_rows(width, 1, 6))
     evaluator = data.draw(st.sampled_from(["int", "planes"]))
     height = len(rows) + (_INT_TICK_MAX_BITS // (width + 1) if evaluator == "planes" else 0)
+    assert height * (width + 1) <= _INT_STEP_MAX_BITS
     world = world_from_rows(width, height, (rows * height)[:height])
     netlist = elaborate(width, height)
     assert netlist.describe()["evaluator"] == evaluator
@@ -166,7 +167,7 @@ def test_engines_agree_on_arbitrary_worlds(width, height, data):
     # Beside criterion 2's seeded worlds: any world up to 12x12, where the
     # reference engine is the oracle, since bitsliced and the circuit's int
     # tick share grid.board.
-    rows = data.draw(st.lists(st.integers(0, 2 ** width - 1), min_size=height, max_size=height))
+    rows = data.draw(bit_rows(width, height, height))
     world = world_from_rows(width, height, rows)
     steps = data.draw(st.integers(1, 4))
     expected = run("reference", world, steps)
@@ -181,9 +182,7 @@ def test_bitsliced_planes_match_reference(data):
     # tick, so the reference engine is the oracle. The drawn rows repeat to
     # just past the largest board the bit-sliced engine steps as one int.
     width = data.draw(st.one_of(st.sampled_from([1, 63, 64, 65, 128, 129]), st.integers(1, 300)))
-    # rows drawn bit by bit: Hypothesis draws small integers most often
-    rows = [sum(bit << x for x, bit in enumerate(bits)) for bits in data.draw(
-        st.lists(st.lists(st.booleans(), min_size=width, max_size=width), min_size=1, max_size=4))]
+    rows = data.draw(bit_rows(width, 1, 4))
     height = tall(width)
     world = world_from_rows(width, height, (rows * height)[:height])
     steps = data.draw(st.integers(1, 3))

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (BEACON_A, BEACON_B, BEACON_A_CELLS, cells_of, random_world_oracle,
-                     row_ints, world_from_rows)
+from helpers import (BEACON_A, BEACON_B, BEACON_A_CELLS, bit_rows, cells_of,
+                     random_world_oracle, row_ints, world_from_rows)
 from lifebench.grid import (BadDensity, EmptyPattern, IllegalChar, RaggedLines, Rng,
                             World, board, cells, from_board, from_cells, full_board,
                             parse_pattern, population, random_world, serialize_pattern)
@@ -298,7 +298,7 @@ def test_cells_codec_roundtrip(width):
 def worlds(draw):
     width = draw(st.integers(1, 130))
     height = draw(st.integers(1, 12))
-    rows = draw(st.lists(st.integers(0, 2 ** width - 1), min_size=height, max_size=height))
+    rows = draw(bit_rows(width, height, height))
     return world_from_rows(width, height, rows)
 
 
