@@ -1,21 +1,18 @@
-"""Synchronous-circuit emulation of the Game of Life.
+"""Synchronous-circuit emulation of the Game of Life, and the gate-table
+compiler that steps both bit-parallel engines.
 
 Each cell is one D flip-flop, a popcount adder tree over its eight neighbor
 registers, and rule logic on the 4-bit sum, written once as a table of gate
 blocks. A Netlist replicates the table into an explicit node graph, built
 on first read, in which neighbor inputs that would fall outside the grid
 are wired to a constant-0 node. The whole world updates on every clock
-tick. The tick runs the table compiled the way synthesis would: XOR3/MAJ3
-pairs share their a ^ b, gate planes are reused once their last reader is
-done, and NOT is masked so that the D inputs latch straight into the
-registers. The world's size picks the evaluator. A small world is one
-Python int in the grid.board layout, ticked by one straight-line function
-generated from the cell table alone: one int op per gate step with no
-dispatch between them and no numpy per-call cost, though CPython still
-allocates an int per op. A larger one is bit-packed uint64 planes
-(grid.Planes, the bit-sliced engine's layout too), 64 cells per gate op
-with no allocation, whose neighbor shifts carry across words in contiguous
-1-D ops. Either way every register latches at once.
+tick. A Schedule compiles such a table the way synthesis would; the
+bit-sliced engine's adder chain is a second table, compiled the same way.
+evaluator() binds a schedule to one world size, which picks how it runs: a
+small world is one Python int in the grid.board layout, ticked by one
+straight-line function generated from the schedule, with no dispatch per
+op; a larger one is bit-packed uint64 planes (grid.Planes), 64 cells per
+ufunc call with no allocation.
 """
 
 from __future__ import annotations
@@ -44,23 +41,21 @@ class SizeMismatch(ValueError):
     """World dimensions do not match the elaborated netlist."""
 
 
-# Moore neighborhood by compass direction: (dx, dy), y pointing down.
-_NEIGHBORS = {"nw": (-1, -1), "n": (0, -1), "ne": (1, -1), "w": (-1, 0),
-              "e": (1, 0), "sw": (-1, 1), "s": (0, 1), "se": (1, 1)}
-
 # The per-cell circuit, one block per logical signal in dependency order:
-# (name, kind, inputs). An input is a neighbor register, "self" (the cell's
-# own register) or an earlier block. Three neighbors feed each of two full
-# adders and the last two a half adder; the last block is the register's D
-# input. Netlist replicates this table into the explicit graph and compiles
-# it into its packed tick, so the rule is written once.
+# (name, kind, inputs), in the input language of Schedule. The eight
+# neighbor registers are w, self and e, each of the row above, its own row
+# and the row below. Three neighbors feed each of two full adders and the
+# last two a half adder; the last block is the register's D input. Netlist
+# replicates this table into the explicit graph and compiles it into its
+# tick, so the rule is written once.
+_NW, _N, _NE, _SW, _S, _SE = ("w", -1), ("self", -1), ("e", -1), ("w", 1), ("self", 1), ("e", 1)
 _BLOCKS = (
-    ("sum_a", XOR3, ("nw", "n", "ne")),
-    ("sum_b", XOR3, ("w", "e", "sw")),
-    ("car_a", MAJ3, ("nw", "n", "ne")),
-    ("car_b", MAJ3, ("w", "e", "sw")),
-    ("sum_c", XOR, ("s", "se")),
-    ("car_c", AND, ("s", "se")),
+    ("sum_a", XOR3, (_NW, _N, _NE)),
+    ("sum_b", XOR3, ("w", "e", _SW)),
+    ("car_a", MAJ3, (_NW, _N, _NE)),
+    ("car_b", MAJ3, ("w", "e", _SW)),
+    ("sum_c", XOR, (_S, _SE)),
+    ("car_c", AND, (_S, _SE)),
     ("bit0", XOR3, ("sum_a", "sum_b", "sum_c")),    # ones column sum
     ("ones_c", MAJ3, ("sum_a", "sum_b", "sum_c")),  # and its carry
     ("twos", XOR3, ("car_a", "car_b", "car_c")),    # carry column sum
@@ -76,18 +71,32 @@ _BLOCKS = (
     ("next", AND, ("is23", "b0_or_self")),          # next cell state
 )
 _BLOCK_INDEX = {name: i for i, (name, _, _) in enumerate(_BLOCKS)}
+_DX = {"w": -1, "self": 0, "e": 1}  # the register column each of these reads
 
 _BINARY_UFUNCS = {AND: np.bitwise_and, OR: np.bitwise_or, XOR: np.bitwise_xor}
 _SYMBOLS = {np.bitwise_and: "&", np.bitwise_or: "|", np.bitwise_xor: "^"}
 
 
-def _schedule():
-    """The gate steps of a tick, compiled from the cell table for any size.
+def _signal(src) -> tuple[str, int]:
+    """A table input as (signal, row offset)."""
+    return src if isinstance(src, tuple) else (src, 0)
 
-    Returns (steps, n_planes). A step is (ufunc, operands) over symbolic
-    operands: "self" (the registers, which the last block writes), a
-    neighbor name, "mask", or the index of one of n_planes gate planes.
-    Each evaluator binds them to its own values. Three passes:
+
+class Schedule:
+    """A cell table compiled into the gate steps of one tick, for any size.
+
+    A table is (name, kind, inputs) blocks in dependency order; the last
+    block is the register's D input. An input is "self" (the cell's
+    register), "w" or "e" (the register of the cell to the west or east)
+    or an earlier block, or one of these read one row up or down,
+    (signal, -1) or (signal, 1). Outside the grid an input reads 0.
+
+    A signal read at a row offset lives in a bordered row plane (k, 0) and
+    is read as (k, dy); row plane 0 is the registers. Any other signal
+    lives in flat plane k or in a dead signal's row plane. A step is
+    (ufunc, (a, b, out)) over these planes and "mask". w and e, the
+    registers shifted by the evaluator before the steps, are signals too;
+    carry is a flat plane free while those shifts run. Three passes:
 
     * Shared XOR. An XOR3/MAJ3 pair with the same first two inputs
       computes t = a ^ b once: sum = t ^ c, carry = (a & b) | (t & c).
@@ -96,62 +105,200 @@ def _schedule():
     * Plane liveness. Each block's output plane is taken from a free list,
       and goes back to it after the block's last reader. A block reads all
       its inputs before its first write to its output, so the output may
-      reuse the plane of an input that dies there.
-    * Masked NOT. NOT is x ^ mask, with mask 1 on the cells alone, so the
-      last block may write straight into the registers. Each evaluator's
-      docstring shows why their bits off the cells stay 0.
+      reuse the plane of an input that dies there, unless it reads that
+      input at a row offset.
+    * Masked NOT. NOT is x ^ mask, with mask 1 on the cells alone, so a
+      table whose last block is is23 & (bit0 | self), with is23 = lt4 &
+      bit1 and lt4 the NOT of ge4 (count >= 4), writes it straight into
+      the registers. Off the cells, where the registers and mask are 0,
+      that block is ge4 & bit1 & bit0: a count of 7. No bit there sees
+      more than six cells (an int's guard bit sees the last column of rows
+      y - 1 to y + 1 and the first column of rows y to y + 2; a plane's
+      padding bit or guard word one edge column of three rows), so the
+      registers stay 0 off the cells.
     """
-    last = {}  # signal, or the (a, b) of a shared XOR, -> index of its last reader
-    for i, (_, kind, sources) in enumerate(_BLOCKS):
-        last.update((src, i) for src in sources)
-        if kind in (XOR3, MAJ3):
-            last[sources[:2]] = i
-    steps, value, free = [], {}, []
-    fresh = itertools.count()
 
-    def take():
-        return free.pop() if free else next(fresh)
+    def __init__(self, table, int_max_bits: int):
+        self.int_max_bits = int_max_bits
+        rows = {name for _, _, sources in table for name, dy in map(_signal, sources) if dy}
+        last = {}  # signal, or the (a, b) of a shared XOR, -> index of its last reader
+        for i, (_, kind, sources) in enumerate(table):
+            last.update((_signal(src)[0], i) for src in sources)
+            if kind in (XOR3, MAJ3):
+                last[sources[:2]] = i
+        row_planes, fresh, free = itertools.count(1), itertools.count(), []
 
-    for i, (name, kind, sources) in enumerate(_BLOCKS):
-        a, *rest = (value.get(src, src) for src in sources)
-        if kind in (XOR3, MAJ3):
-            pair = sources[:2]
-            if pair not in value:
-                value[pair] = take()
-                steps.append((np.bitwise_xor, (a, rest[0], value[pair])))
-            t = value[pair]
-        free += [value.pop(src) for src in sources if last[src] == i and src in value]
-        out = "self" if i == len(_BLOCKS) - 1 else take()
-        if kind == NOT:
-            steps.append((np.bitwise_xor, (a, "mask", out)))
-        elif kind == XOR3:
-            steps.append((np.bitwise_xor, (t, rest[1], out)))
-        elif kind == MAJ3:
-            b, c = rest
-            steps += [(np.bitwise_and, (t, c, t)), (np.bitwise_and, (a, b, out)),
-                      (np.bitwise_or, (out, t, out))]
-        else:
-            steps.append((_BINARY_UFUNCS[kind], (a, *rest, out)))
-        if kind in (XOR3, MAJ3) and last[pair] == i:
-            free.append(value.pop(pair))
-        value[name] = out
-    return steps, next(fresh)
+        def take(name=None):
+            if name in rows:
+                return next(row_planes), 0
+            return free.pop() if free else next(fresh)
+
+        value = {"self": (0, 0), "w": take("w"), "e": take("e")}
+        self.west, self.east, self.carry = value["w"], value["e"], take()
+        free.append(self.carry)
+
+        def at(src):
+            name, dy = _signal(src)
+            return (value[name][0], dy) if dy else value[name]
+
+        steps = []
+        for i, (name, kind, sources) in enumerate(table):
+            a, *rest = map(at, sources)
+            if kind in (XOR3, MAJ3):
+                pair = sources[:2]
+                if pair not in value:
+                    value[pair] = take()
+                    steps.append((np.bitwise_xor, (a, rest[0], value[pair])))
+                t = value[pair]
+            dead = [s for s in dict.fromkeys(_signal(src)[0] for src in sources)
+                    if last[s] == i and s != "self"]
+            shifted = {s for s, dy in map(_signal, sources) if dy}  # numpy would copy these
+            free += [value.pop(s) for s in dead if s not in shifted]
+            out = (0, 0) if i == len(table) - 1 else take(name)
+            free += [value.pop(s) for s in dead if s in shifted]
+            if kind == NOT:
+                steps.append((np.bitwise_xor, (a, "mask", out)))
+            elif kind == XOR3:
+                steps.append((np.bitwise_xor, (t, rest[1], out)))
+            elif kind == MAJ3:
+                b, c = rest
+                steps += [(np.bitwise_and, (t, c, t)), (np.bitwise_and, (a, b, out)),
+                          (np.bitwise_or, (out, t, out))]
+            else:
+                steps.append((_BINARY_UFUNCS[kind], (a, *rest, out)))
+            if kind in (XOR3, MAJ3) and last[pair] == i:
+                free.append(value.pop(pair))
+            value[name] = out
+        # numpy runs a step whose output is its first input fastest
+        self.steps = [(ufunc, (b, a, out) if b == out != a else (a, b, out))
+                      for ufunc, (a, b, out) in steps]
+        self.n_rows, self.n_flat = next(row_planes), next(fresh)
+        shifted = {arg for _, args in steps for arg in args if isinstance(arg, tuple) and arg[1]}
+        self.int_ops = 2 + len(shifted) + len(steps)  # w, e, row shifts, gates
+
+    @cached_property
+    def int_tick(self):
+        """The steps as one function tick(r0, stride, mask) -> next r0 over ints.
+
+        Its source is written from the schedule alone, no size, input or
+        user value, and compiled on first use. Flat plane k is the local
+        pk and row plane k rk, r0 the registers; rk read one row up is
+        rk_n = rk << stride and one row down rk_s = rk >> stride, each made
+        before its first read. Bits shifted in are 0, the dead boundary.
+        """
+        def local(arg):
+            if isinstance(arg, int):
+                return f"p{arg}"
+            return arg if arg == "mask" else f"r{arg[0]}" + ("", "_s", "_n")[arg[1]]
+
+        lines = ["def tick(r0, stride, mask):",
+                 f"{local(self.west)} = r0 << 1", f"{local(self.east)} = r0 >> 1"]
+        made = set()
+        for ufunc, args in self.steps:
+            for arg in args:
+                if isinstance(arg, tuple) and arg[1] and arg not in made:
+                    made.add(arg)
+                    lines.append(f"{local(arg)} = r{arg[0]} {'<<' if arg[1] < 0 else '>>'} stride")
+            a, b, out = map(local, args)
+            lines.append(f"{out} = {a} {_SYMBOLS[ufunc]} {b}")
+        scope = {}
+        exec(compile("\n    ".join([*lines, "return r0\n"]), "<int tick>", "exec"), scope)
+        return scope["tick"]
 
 
-_STEPS, _N_PLANES = _schedule()
-
-
-# Largest board, height * (width + 1) bits, that ticks as one int. An int
-# op's cost grows about linearly with the board, while numpy's per-call
-# cost (about 0.5 us for each of 33-37 ufunc calls) keeps the plane tick
-# near flat up to 100x100. Per-tick time, int / planes, median of 11
-# interleaved rounds on a 2-vCPU Xeon, Python 3.11, numpy 2.4
-# (BENCH_circuit_straight.json):
-#   100x100   7 / 16 us    200x200  19 / 23 us    225x225  23 / 26 us
-#   240x240  26 / 26 us    256x256  30 / 26 us    300x300  40 / 33 us
-# Over three such runs the planes first won at 256x256, 245x245 and
-# 240x240 (57,840 bits); 3 << 14 bits (about 221x221) stays below all three.
+# Largest board, height * (width + 1) bits, that the cell table ticks as
+# one int: an int op's cost grows with the board, a ufunc call's barely up
+# to 100x100. Per-tick time, int / planes, median of 11 interleaved rounds
+# on a 2-vCPU Xeon, Python 3.11, numpy 2.4 (BENCH_gate_tables.json):
+#   100x100   7 / 14 us    200x200  18 / 21 us    225x225  22 / 23 us
+#   230x230  23 / 23 us    235x235  23 / 23 us    300x300  37 / 29 us
+# Over three runs the planes first won at 235x235 (55,460 bits), and won
+# rounds at 230x230; 3 << 14 bits (about 221x221) stays below both.
 _INT_TICK_MAX_BITS = 3 << 14
+
+_CELL = Schedule(_BLOCKS, _INT_TICK_MAX_BITS)
+
+
+def evaluator(schedule: Schedule, width: int, height: int):
+    """The schedule bound to a width x height world, on ints or on planes.
+
+    A board of at most schedule.int_max_bits bits ticks as one Python int
+    (_IntTick), a larger one on grid.Planes (_PlaneTick). Either has
+    load(world), tick(), world() and generation, the loaded world's
+    generation plus the ticks since, and reports its name, ops_per_tick
+    and plane_bytes.
+    """
+    small = height * (width + 1) <= schedule.int_max_bits
+    return (_IntTick if small else _PlaneTick)(schedule, width, height)
+
+
+class _IntTick:
+    """The registers as one int, a grid.board, ticked by Schedule.int_tick.
+
+    The mask is the all-cells board; the bits off it are the guard bits
+    and the bits past the last row. A tick is one call, with no dispatch
+    per gate step, but CPython still allocates an int per op.
+    """
+
+    name = "int"
+    plane_bytes = 0
+
+    def __init__(self, schedule: Schedule, width: int, height: int):
+        self._width, self._height, self._stride = width, height, width + 1
+        self._mask = full_board(width, height)
+        self._tick = schedule.int_tick
+        self.ops_per_tick = schedule.int_ops
+
+    def load(self, world: World) -> None:
+        self._r = board(world)
+        self.generation = world.generation
+
+    def world(self) -> World:
+        return from_board(self._r, self._width, self._height, self.generation)
+
+    def tick(self) -> None:
+        self._r = self._tick(self._r, self._stride, self._mask)
+        self.generation += 1
+
+
+class _PlaneTick:
+    """The registers as grid.Planes, and the gate steps over them.
+
+    A row plane is a bordered plane of grid.Planes, so each of its row
+    offset reads is a flat offset view. The tick is a list of ufunc calls,
+    64 cells per op and with no allocation: the west and east shifts with
+    their carries (Planes.shifts), then the schedule's steps bound to this
+    size's planes. The mask is zero on padding bits and guard words.
+    """
+
+    name = "planes"
+
+    def __init__(self, schedule: Schedule, width: int, height: int):
+        p = Planes(width, height, bordered=schedule.n_rows, flat=schedule.n_flat)
+        self._planes = p
+
+        @cache  # one view per plane: numpy runs out=a fastest when out is a
+        def plane(arg):
+            if isinstance(arg, int):
+                return p.flat[arg]
+            return p.mask if arg == "mask" else p.row(*arg)
+
+        shifts = p.shifts(plane(schedule.west), plane(schedule.east), plane(schedule.carry))
+        self._ops = shifts + [(ufunc, tuple(map(plane, args))) for ufunc, args in schedule.steps]
+        self.ops_per_tick = len(self._ops)
+        self.plane_bytes = p.mask.nbytes + p.flat.nbytes
+
+    def load(self, world: World) -> None:
+        self._planes.load(world)
+        self.generation = world.generation
+
+    def world(self) -> World:
+        return self._planes.world(self.generation)
+
+    def tick(self) -> None:
+        for op, args in self._ops:
+            op(*args)
+        self.generation += 1
 
 
 class Netlist:
@@ -161,13 +308,10 @@ class Netlist:
     shared constant-0 node, and ids R+1.. are gates in topological order,
     one contiguous block of R nodes per signal of the cell table.
 
-    A tick runs the gate steps that _schedule compiles from the cell table.
-    The evaluator depends on the world's size alone: a board of at most
-    _INT_TICK_MAX_BITS bits is ticked as one Python int (_IntTick), a
-    larger one on bit-packed uint64 planes with no allocation
-    (_PlaneTick). The explicit graph (kinds, inputs, reg_next), which the
-    tick never reads, is built on first read; describe() reports the
-    structure without it. Use elaborate() to build one. Do not tick an
+    A tick runs the cell table's schedule on evaluator(), which the
+    world's size picks. The explicit graph (kinds, inputs, reg_next),
+    which the tick never reads, is built on first read; describe() reports
+    the structure without it. Use elaborate() to build one. Do not tick an
     instance from two threads at once; distinct netlists are independent.
     """
 
@@ -176,8 +320,7 @@ class Netlist:
         self.height = height
         self.n_registers = width * height
         self._initial = initial    # the reset pattern
-        small = height * (width + 1) <= _INT_TICK_MAX_BITS
-        self._eval = (_IntTick if small else _PlaneTick)(width, height)
+        self._eval = evaluator(_CELL, width, height)
         self.reset()
 
     kinds = property(lambda self: self._graph[0])     # int8 (C,), per gate node (const included)
@@ -199,18 +342,14 @@ class Netlist:
             kinds[lo:lo + n] = kind
             block = inputs[lo:lo + n].reshape(height, width, 3)
             block[:, :, len(sources):] = -1
-            for col, src in enumerate(sources):
+            for col, (src, dy) in enumerate(map(_signal, sources)):
                 out = block[:, :, col]
-                if src == "self":
-                    out[...] = cell
-                elif src in _NEIGHBORS:
-                    dx, dy = _NEIGHBORS[src]
-                    out.fill(const)
-                    ys = slice(max(0, -dy), height - max(0, dy))
-                    xs = slice(max(0, -dx), width - max(0, dx))
-                    np.add(cell[ys, xs], dy * width + dx, out=out[ys, xs])
-                else:
-                    np.add(cell, const + 1 + _BLOCK_INDEX[src] * n, out=out)
+                dx = _DX.get(src, 0)
+                base = 0 if src in _DX else const + 1 + _BLOCK_INDEX[src] * n
+                out.fill(const)
+                ys = slice(max(0, -dy), height - max(0, dy))
+                xs = slice(max(0, -dx), width - max(0, dx))
+                np.add(cell[ys, xs], base + dy * width + dx, out=out[ys, xs])
         nxt = const + 1 + (len(_BLOCKS) - 1) * n
         return kinds, inputs, np.arange(nxt, nxt + n, dtype=np.intp)
 
@@ -233,8 +372,9 @@ class Netlist:
                 f"netlist is {self.width}x{self.height}, world is {world.width}x{world.height}")
         self._eval.load(world)
 
-    def to_world(self, generation: int = 0) -> World:
-        return self._eval.world(generation)
+    def to_world(self) -> World:
+        """The registers as a World whose generation is the loaded one's plus the ticks since."""
+        return self._eval.world()
 
     def tick(self) -> None:
         """One clock: evaluate all gate blocks from register values, then latch.
@@ -252,106 +392,17 @@ class Netlist:
         registers), which is not built; depth: logic depth in gate levels
         from the registers to their D inputs; evaluator: "int" or
         "planes"; ops_per_tick: the evaluator's operator or ufunc calls per
-        clock; plane_bytes: bytes of the gate planes the tick evaluates
-        into, the NOT mask included (not the registers and their shifts),
-        0 for the int evaluator.
+        clock; plane_bytes: bytes of the flat planes the tick evaluates
+        into, the NOT mask included (not the row planes), 0 for the int
+        evaluator.
         """
         nodes = {"REG": self.n_registers, **dict.fromkeys(KIND_NAMES, 0), "CONST0": 1}
-        level = dict.fromkeys(("self", *_NEIGHBORS), 0)
+        level = dict.fromkeys(_DX, 0)
         for name, kind, sources in _BLOCKS:
             nodes[KIND_NAMES[kind]] += self.n_registers
-            level[name] = 1 + max(level[src] for src in sources)
+            level[name] = 1 + max(level[_signal(src)[0]] for src in sources)
         return {"nodes": nodes, "depth": max(level.values()), "evaluator": self._eval.name,
                 "ops_per_tick": self._eval.ops_per_tick, "plane_bytes": self._eval.plane_bytes}
-
-
-@cache
-def _int_tick():
-    """_STEPS as one straight-line function tick(r, stride, mask) -> next r.
-
-    Its source is written from the fixed cell table alone, once per
-    process. A neighbor input is the registers r, or their west (r << 1) or
-    east (r >> 1) shift, shifted one row up (<< stride) or down (>> stride);
-    bits shifted in are 0, the dead boundary. Then comes one line per gate
-    step, with the gate planes as locals p0, p1, ...
-    """
-    base = {-1: "west", 0: "r", 1: "east"}  # the shift whose bit x holds cell x + dx
-    name = {"self": "r", "mask": "mask"}
-    lines = ["def tick(r, stride, mask):", "west, east = r << 1, r >> 1"]
-    for src, (dx, dy) in _NEIGHBORS.items():
-        if dy:
-            lines.append(f"{src} = {base[dx]} {'<<' if dy < 0 else '>>'} stride")
-        else:
-            name[src] = base[dx]
-    for ufunc, args in _STEPS:
-        a, b, out = (f"p{arg}" if isinstance(arg, int) else name.get(arg, arg) for arg in args)
-        lines.append(f"{out} = {a} {_SYMBOLS[ufunc]} {b}")
-    scope = {}
-    exec(compile("\n    ".join([*lines, "return r\n"]), "<circuit int tick>", "exec"), scope)
-    return scope["tick"]
-
-
-class _IntTick:
-    """The registers as one int, a grid.board, ticked by _int_tick.
-
-    The mask is the all-cells board. Outside it (guard bits and the bits
-    past the last row) the registers are 0, so lt4 = ge4 ^ 0 = ge4 there
-    and next is ge4 & bit1 & bit0, set only by a count of 7. Such a bit
-    sees at most six cells, the two edge columns beside a guard bit, so
-    next writes 0 there and the registers stay a board. A tick is one call,
-    with no dispatch per gate step, but CPython still allocates an int per op.
-    """
-
-    name = "int"
-    plane_bytes = 0
-    ops_per_tick = 8 + len(_STEPS)  # the neighbor shifts, then the gates
-
-    def __init__(self, width: int, height: int):
-        self._width, self._height, self._stride = width, height, width + 1
-        self._mask = full_board(width, height)
-        self._tick = _int_tick()
-
-    def load(self, world: World) -> None:
-        self._r = board(world)
-
-    def world(self, generation: int) -> World:
-        return from_board(self._r, self._width, self._height, generation)
-
-    def tick(self) -> None:
-        self._r = self._tick(self._r, self._stride, self._mask)
-
-
-class _PlaneTick:
-    """The registers as grid.Planes, and the gate steps over them.
-
-    Bordered planes 1 and 2 hold the registers shifted west and east, so
-    each neighbor input is a flat offset view of plane 0, 1 or 2. The tick
-    is a list of ufunc calls, 64 cells per op and with no allocation: the
-    west and east shifts with their carries (Planes.shifts), then _STEPS
-    bound to this size's planes. The mask is zero on padding bits and
-    guard words. There a neighbor input holds at most the three cells of
-    one edge column, so ge4 is 0, lt4 = ge4 ^ 0 is 0, and so is next: it
-    writes straight into the registers, keeping their padding and guard
-    words 0.
-    """
-
-    name = "planes"
-
-    def __init__(self, width: int, height: int):
-        p = Planes(width, height, bordered=3, flat=_N_PLANES)
-        self.load, self.world = p.load, p.world
-        regs, west, east = p.row(0), p.row(1), p.row(2)
-        by_dx = {0: 0, -1: 1, 1: 2}  # the bordered plane whose bit x holds cell x + dx
-        operand = {src: p.row(by_dx[dx], dy) for src, (dx, dy) in _NEIGHBORS.items()}
-        operand.update(enumerate(p.flat), self=regs, mask=p.mask)
-        shifts = p.shifts(west, east, carry=p.flat[0])  # no gate plane is live yet
-        self._ops = shifts + [(ufunc, tuple(operand[arg] for arg in args)) for ufunc, args in _STEPS]
-        self.ops_per_tick = len(self._ops)
-        self.plane_bytes = p.mask.nbytes + p.flat.nbytes
-
-    def tick(self) -> None:
-        for op, args in self._ops:
-            op(*args)
 
 
 def elaborate(width: int, height: int, initial: World | None = None) -> Netlist:

@@ -207,6 +207,10 @@ def full_board(width: int, height: int) -> int:
     return full & ((1 << (height * (width + 1))) - 1)
 
 
+# Bytes per page: the unit every plane of a Planes is aligned and spaced to.
+PAGE = 4096
+
+
 class Planes:
     """A world's cells as bit-packed uint64 planes: the layout both plane evaluators step.
 
@@ -217,8 +221,14 @@ class Planes:
     all-zero row above and below, so the rows above and below any row are
     flat offset views of it (row()). The registers are the interior of
     bordered plane 0. mask is 1 on the cells alone, 0 on padding bits and
-    guard words. Every buffer is allocated here, once, so a step that
-    writes into them allocates nothing.
+    guard words.
+
+    All planes are carved from one buffer, allocated here, once, so a step
+    that writes into them allocates nothing: the bordered planes, the flat
+    planes, then the mask. Row 0 of each starts on a page boundary, with a
+    border row just before it, and each is a whole number of pages from
+    the next, so a step's speed does not depend on where the heap puts the
+    buffer.
     """
 
     def __init__(self, width: int, height: int, bordered: int, flat: int):
@@ -226,14 +236,22 @@ class Planes:
         self.width, self.height = width, height
         self._stride = stride = rw + 1
         self._size = height * stride
-        self._mask = np.zeros((height, stride), dtype=np.uint64)
+        page = PAGE // 8  # words
+        lead = -(-stride // page) * page  # the pages before row 0
+        span = -(-(lead + self._size + stride) // page) * page
+        n = bordered + flat + 1
+        # np.full writes every page now, so the first step does not pay
+        # the page faults; the border rows and guard words must be 0.
+        buf = np.full(n * span + page, 0, dtype=np.uint64)
+        start = -buf.ctypes.data % PAGE // 8
+        planes = buf[start:start + n * span].reshape(n, span)
+        planes = planes[:, lead - stride:lead + self._size + stride]
+        self._bordered = planes[:bordered].reshape(bordered, height + 2, stride)
+        self.flat = planes[bordered:-1, stride:-stride]
+        self._mask = planes[-1, stride:-stride].reshape(height, stride)
         self._mask[:, :rw] = MASK64
         self._mask[:, rw - 1] = (1 << (width - 64 * (rw - 1))) - 1
         self.mask = self._mask.reshape(-1)
-        # np.full writes every page now, so the first step does not pay
-        # the page faults; the border rows and guard words must be 0.
-        self._bordered = np.full((bordered, height + 2, stride), 0, dtype=np.uint64)
-        self.flat = np.full((flat, self._size), 0, dtype=np.uint64)
         self._regs = self._bordered[0, 1:-1, :rw]
 
     def row(self, plane: int, dy: int = 0) -> np.ndarray:

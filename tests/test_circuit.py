@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import BEACON_A, BEACON_B, bit_rows, cells_of, tick_in_order, world_from_rows
-from lifebench.circuit import (_INT_TICK_MAX_BITS, CONST0, KIND_NAMES, SizeMismatch,
-                              _IntTick, _PlaneTick, count_resources, elaborate)
-from lifebench.engines import CircuitEngine, run
+from lifebench.circuit import (_CELL, _INT_TICK_MAX_BITS, CONST0, KIND_NAMES, SizeMismatch,
+                              _IntTick, _PlaneTick, count_resources, elaborate, evaluator)
+from lifebench.engines import _INT_STEP_MAX_BITS, _SCHEDULE, CircuitEngine, run
 from lifebench.grid import World, parse_pattern, population, random_world
 from lifebench.refdata import (REGISTER_OVERHEAD, CalibrationTable, CalRow, OutOfRange,
                                estimate_resources, fpga_time_model, load_calibration)
@@ -214,6 +214,23 @@ def test_describe_pinned():
     assert elaborate(1000, 1000).describe()["plane_bytes"] <= 10 * plane
 
 
+def test_schedules_pinned():
+    # The cell table: 31 gate steps on the registers and w and e as row
+    # planes, and 6 flat planes; once w and e are dead, their row planes
+    # hold gate values too. The bit-sliced table: 22 gate steps on row
+    # planes for the registers, ts and tc, and 4 flat planes, w and e
+    # among them. As ints it makes 2 register shifts, 4 row shifts and the
+    # 22 gates; on planes 2 shifts (6 with the carries of rows of more than
+    # one word) and the 22 gates.
+    assert (len(_CELL.steps), _CELL.n_rows, _CELL.n_flat) == (31, 3, 6)
+    assert (len(_SCHEDULE.steps), _SCHEDULE.n_rows, _SCHEDULE.n_flat) == (22, 3, 4)
+    for width, ops in ((1, 24), (64, 24), (65, 28), (1000, 28)):
+        small = evaluator(_SCHEDULE, width, 3)
+        assert (small.name, small.ops_per_tick, small.plane_bytes) == ("int", 28, 0)
+        big = evaluator(_SCHEDULE, width, _INT_STEP_MAX_BITS // (width + 1) + 1)
+        assert (big.name, big.ops_per_tick) == ("planes", ops)
+
+
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 200])
 def test_evaluator_follows_board_size(width):
     # The largest int board and the smallest plane board, each against bitsliced.
@@ -226,21 +243,22 @@ def test_evaluator_follows_board_size(width):
         assert run(CircuitEngine(netlist=netlist), world, 3) == run("bitsliced", world, 3)
 
 
+@pytest.mark.parametrize("schedule", [_CELL, _SCHEDULE], ids=["circuit", "bitsliced"])
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_int_and_plane_ticks_agree(data):
-    # Both bindings of the compiled gate steps on one small board, bypassing
+@given(data=st.data())
+def test_int_and_plane_ticks_agree(schedule, data):
+    # Both evaluators of one compiled table on one small board, bypassing
     # the size choice: the generated int function against the plane tick.
     width = data.draw(st.sampled_from([1, 2, 63, 64, 65, 100]))
     rows = data.draw(bit_rows(width, 1, 6))
     world = world_from_rows(width, len(rows), rows)
-    ticks = [cls(width, len(rows)) for cls in (_IntTick, _PlaneTick)]
+    ticks = [cls(schedule, width, len(rows)) for cls in (_IntTick, _PlaneTick)]
     for t in ticks:
         t.load(world)
-    for generation in range(1, data.draw(st.integers(1, 8)) + 1):
+    for _ in range(data.draw(st.integers(1, 8))):
         for t in ticks:
             t.tick()
-        assert ticks[0].world(generation) == ticks[1].world(generation)
+        assert ticks[0].world() == ticks[1].world()
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,9 @@ def test_compiled_tick_matches_bitsliced(data):
     # A tall world repeats the drawn rows past the largest int board, so
     # the same widths reach the plane tick too. Every board here stays below
     # the largest one the bit-sliced engine steps as one int, so the oracle
-    # shares no plane code with the circuit's plane tick.
+    # runs its own table on the int evaluator. Both tables are compiled by
+    # circuit.Schedule, so the reference engine, which shares no code with
+    # either, is the independent oracle (the tests below and criterion 2).
     width = data.draw(st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 200)))
     rows = data.draw(bit_rows(width, 1, 6))
     evaluator = data.draw(st.sampled_from(["int", "planes"]))

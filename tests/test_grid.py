@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from helpers import (BEACON_A, BEACON_B, BEACON_A_CELLS, bit_rows, cells_of,
                      random_world_oracle, row_ints, world_from_rows)
-from lifebench.grid import (BadDensity, EmptyPattern, IllegalChar, RaggedLines, Rng,
-                            World, board, cells, from_board, from_cells, full_board,
+from lifebench.grid import (PAGE, BadDensity, EmptyPattern, IllegalChar, Planes, RaggedLines,
+                            Rng, World, board, cells, from_board, from_cells, full_board,
                             parse_pattern, population, random_world, serialize_pattern)
 
 
@@ -313,6 +313,19 @@ def test_board_codec_roundtrip(world):
     again = from_board(value, w, h, generation=5)
     assert again == world and again.generation == 5
     assert full_board(w, h) == board(from_cells(np.ones((h, w), dtype=bool)))
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (64, 3), (65, 7), (500, 500), (40000, 2)])
+def test_planes_start_on_page_boundaries(width, height):
+    # Row 0 of every bordered plane, every flat plane and the mask; at
+    # 40000 cells a row is more than a page wide.
+    p = Planes(width, height, bordered=3, flat=4)
+    planes = [p.row(k) for k in range(3)] + list(p.flat) + [p.mask]
+    assert all(plane.ctypes.data % PAGE == 0 for plane in planes)
+    assert len({plane.ctypes.data for plane in planes}) == len(planes)
+    stride = p.row(0).size // height
+    for k in range(3):  # the zero rows above and below each bordered plane
+        assert not p.row(k, -1)[:stride].any() and not p.row(k, 1)[-stride:].any()
 
 
 @settings(max_examples=100, deadline=None)
