@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, cached_property
+from types import MethodType
 
 import numpy as np
 
@@ -43,8 +44,8 @@ class SizeMismatch(ValueError):
 
 # The per-cell circuit, one block per logical signal in dependency order:
 # (name, kind, inputs), in the input language of Schedule. The eight
-# neighbor registers are w, self and e, each of the row above, its own row
-# and the row below. Three neighbors feed each of two full adders and the
+# neighbor registers are w, self and e of the rows above and below, and w
+# and e of the cell's own row. Three neighbors feed each of two full adders and the
 # last two a half adder; the last block is the register's D input. Netlist
 # replicates this table into the explicit graph and compiles it into its
 # tick, so the rule is written once.
@@ -120,10 +121,11 @@ class Schedule:
 
     def __init__(self, table, int_max_bits: int):
         self.int_max_bits = int_max_bits
-        rows = {name for _, _, sources in table for name, dy in map(_signal, sources) if dy}
+        table = [(name, kind, tuple(map(_signal, sources))) for name, kind, sources in table]
+        rows = {s for _, _, sources in table for s, dy in sources if dy}
         last = {}  # signal, or the (a, b) of a shared XOR, -> index of its last reader
         for i, (_, kind, sources) in enumerate(table):
-            last.update((_signal(src)[0], i) for src in sources)
+            last.update((s, i) for s, _ in sources)
             if kind in (XOR3, MAJ3):
                 last[sources[:2]] = i
         row_planes, fresh, free = itertools.count(1), itertools.count(), []
@@ -136,23 +138,17 @@ class Schedule:
         value = {"self": (0, 0), "w": take("w"), "e": take("e")}
         self.west, self.east, self.carry = value["w"], value["e"], take()
         free.append(self.carry)
-
-        def at(src):
-            name, dy = _signal(src)
-            return (value[name][0], dy) if dy else value[name]
-
         steps = []
         for i, (name, kind, sources) in enumerate(table):
-            a, *rest = map(at, sources)
+            a, *rest = ((value[s][0], dy) if dy else value[s] for s, dy in sources)
             if kind in (XOR3, MAJ3):
                 pair = sources[:2]
                 if pair not in value:
                     value[pair] = take()
                     steps.append((np.bitwise_xor, (a, rest[0], value[pair])))
                 t = value[pair]
-            dead = [s for s in dict.fromkeys(_signal(src)[0] for src in sources)
-                    if last[s] == i and s != "self"]
-            shifted = {s for s, dy in map(_signal, sources) if dy}  # numpy would copy these
+            dead = [s for s in dict.fromkeys(s for s, _ in sources) if last[s] == i and s != "self"]
+            shifted = {s for s, dy in sources if dy}  # numpy would copy these
             free += [value.pop(s) for s in dead if s not in shifted]
             out = (0, 0) if i == len(table) - 1 else take(name)
             free += [value.pop(s) for s in dead if s in shifted]
@@ -169,29 +165,29 @@ class Schedule:
             if kind in (XOR3, MAJ3) and last[pair] == i:
                 free.append(value.pop(pair))
             value[name] = out
-        # numpy runs a step whose output is its first input fastest
-        self.steps = [(ufunc, (b, a, out) if b == out != a else (a, b, out))
-                      for ufunc, (a, b, out) in steps]
+        self.steps = steps
         self.n_rows, self.n_flat = next(row_planes), next(fresh)
-        shifted = {arg for _, args in steps for arg in args if isinstance(arg, tuple) and arg[1]}
+        shifted = {src for _, _, sources in table for src in sources if src[1]}
         self.int_ops = 2 + len(shifted) + len(steps)  # w, e, row shifts, gates
 
     @cached_property
     def int_tick(self):
-        """The steps as one function tick(r0, stride, mask) -> next r0 over ints.
+        """The tick over ints as one function tick(ev) of an _IntTick ev.
 
         Its source is written from the schedule alone, no size, input or
-        user value, and compiled on first use. Flat plane k is the local
-        pk and row plane k rk, r0 the registers; rk read one row up is
-        rk_n = rk << stride and one row down rk_s = rk >> stride, each made
-        before its first read. Bits shifted in are 0, the dead boundary.
+        user value, and compiled on first use. It reads the registers r0,
+        the row stride and the mask from ev and writes back the next r0 and
+        generation, so that a tick is one Python frame. Flat plane k is the
+        local pk and row plane k rk; rk read one row up is rk_n = rk <<
+        stride and one row down rk_s = rk >> stride, each made before its
+        first read. Bits shifted in are 0, the dead boundary.
         """
         def local(arg):
             if isinstance(arg, int):
                 return f"p{arg}"
             return arg if arg == "mask" else f"r{arg[0]}" + ("", "_s", "_n")[arg[1]]
 
-        lines = ["def tick(r0, stride, mask):",
+        lines = ["def tick(ev):", "r0, stride, mask = ev._r, ev._stride, ev._mask",
                  f"{local(self.west)} = r0 << 1", f"{local(self.east)} = r0 >> 1"]
         made = set()
         for ufunc, args in self.steps:
@@ -202,7 +198,8 @@ class Schedule:
             a, b, out = map(local, args)
             lines.append(f"{out} = {a} {_SYMBOLS[ufunc]} {b}")
         scope = {}
-        exec(compile("\n    ".join([*lines, "return r0\n"]), "<int tick>", "exec"), scope)
+        source = "\n    ".join([*lines, "ev._r = r0", "ev.generation += 1\n"])
+        exec(compile(source, "<int tick>", "exec"), scope)
         return scope["tick"]
 
 
@@ -233,7 +230,7 @@ def evaluator(schedule: Schedule, width: int, height: int):
 
 
 class _IntTick:
-    """The registers as one int, a grid.board, ticked by Schedule.int_tick.
+    """The registers as one int, a grid.board; tick() is Schedule.int_tick.
 
     The mask is the all-cells board; the bits off it are the guard bits
     and the bits past the last row. A tick is one call, with no dispatch
@@ -246,7 +243,7 @@ class _IntTick:
     def __init__(self, schedule: Schedule, width: int, height: int):
         self._width, self._height, self._stride = width, height, width + 1
         self._mask = full_board(width, height)
-        self._tick = schedule.int_tick
+        self.tick = MethodType(schedule.int_tick, self)
         self.ops_per_tick = schedule.int_ops
 
     def load(self, world: World) -> None:
@@ -255,10 +252,6 @@ class _IntTick:
 
     def world(self) -> World:
         return from_board(self._r, self._width, self._height, self.generation)
-
-    def tick(self) -> None:
-        self._r = self._tick(self._r, self._stride, self._mask)
-        self.generation += 1
 
 
 class _PlaneTick:
@@ -277,7 +270,7 @@ class _PlaneTick:
         p = Planes(width, height, bordered=schedule.n_rows, flat=schedule.n_flat)
         self._planes = p
 
-        @cache  # one view per plane: numpy runs out=a fastest when out is a
+        @cache  # one view per plane: numpy steps in place faster on the input object itself
         def plane(arg):
             if isinstance(arg, int):
                 return p.flat[arg]
