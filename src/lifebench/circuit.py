@@ -45,10 +45,10 @@ class SizeMismatch(ValueError):
 # The per-cell circuit, one block per logical signal in dependency order:
 # (name, kind, inputs), in the input language of Schedule. The eight
 # neighbor registers are w, self and e of the rows above and below, and w
-# and e of the cell's own row. Three neighbors feed each of two full adders and the
-# last two a half adder; the last block is the register's D input. Netlist
-# replicates this table into the explicit graph and compiles it into its
-# tick, so the rule is written once.
+# and e of the cell's own row. Three neighbors feed each of two full
+# adders and the last two a half adder; the last block is the register's
+# D input. Netlist replicates this table into the explicit graph and
+# compiles it into its tick, so the rule is written once.
 _NW, _N, _NE, _SW, _S, _SE = ("w", -1), ("self", -1), ("e", -1), ("w", 1), ("self", 1), ("e", 1)
 _BLOCKS = (
     ("sum_a", XOR3, (_NW, _N, _NE)),
@@ -147,11 +147,12 @@ class Schedule:
                     value[pair] = take()
                     steps.append((np.bitwise_xor, (a, rest[0], value[pair])))
                 t = value[pair]
-            dead = [s for s in dict.fromkeys(s for s, _ in sources) if last[s] == i and s != "self"]
-            shifted = {s for s, dy in sources if dy}  # numpy would copy these
-            free += [value.pop(s) for s in dead if s not in shifted]
+            names = dict.fromkeys(s for s, _ in sources)
+            dead = [s for s in names if last[s] == i and s != "self"]
+            offset = {s for s, dy in sources if dy}  # out on these, numpy would copy
+            free += [value.pop(s) for s in dead if s not in offset]
             out = (0, 0) if i == len(table) - 1 else take(name)
-            free += [value.pop(s) for s in dead if s in shifted]
+            free += [value.pop(s) for s in dead if s in offset]
             if kind == NOT:
                 steps.append((np.bitwise_xor, (a, "mask", out)))
             elif kind == XOR3:
