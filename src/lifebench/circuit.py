@@ -208,10 +208,10 @@ class Schedule:
 # one int: an int op's cost grows with the board, a ufunc call's barely up
 # to 100x100. Per-tick time, int / planes, median of 11 interleaved rounds
 # on a 2-vCPU Xeon, Python 3.11, numpy 2.4 (BENCH_gate_tables.json):
-#   100x100   7 / 14 us    200x200  18 / 21 us    225x225  22 / 23 us
-#   230x230  23 / 23 us    235x235  23 / 23 us    300x300  37 / 29 us
-# Over three runs the planes first won at 235x235 (55,460 bits), and won
-# rounds at 230x230; 3 << 14 bits (about 221x221) stays below both.
+#   100x100   7 / 17 us    200x200  20 / 24 us    225x225  24 / 26 us
+#   230x230  25 / 25 us    235x235  26 / 26 us    300x300  42 / 34 us
+# Over six runs the planes first won at 230x230 (53,130 bits) once and at
+# 235x235 in the others; 3 << 14 bits (about 221x221) stays below both.
 _INT_TICK_MAX_BITS = 3 << 14
 
 _CELL = Schedule(_BLOCKS, _INT_TICK_MAX_BITS)

@@ -55,11 +55,12 @@ _TABLE = (
 
 # Largest board, height * (width + 1) bits, that _TABLE steps as one int.
 # Per-step time, int / planes, as for circuit._INT_TICK_MAX_BITS:
-#   100x100   5 / 11 us    225x225  15 / 17 us    240x240  17 / 18 us
-#   245x245  17 / 18 us    250x250  18 / 18 us    300x300  26 / 22 us
-# The int step won every run up to 245x245 and the planes every run from
-# 250x250 (62,750 bits) on. Under the circuit's limit, 222x222 to 240x240
-# would step up to 19% slower than on one int, so each table keeps its own.
+#   100x100   5 / 13 us    225x225  17 / 20 us    235x235  18 / 18 us
+#   245x245  19 / 20 us    250x250  20 / 19 us    300x300  29 / 25 us
+# The int step won every quiet run up to 245x245 and the planes every one
+# from 250x250 (62,750 bits) on. Under the circuit's limit, 222x222 to
+# 240x240 would step up to 19% slower than on one int, so each table
+# keeps its own limit.
 _INT_STEP_MAX_BITS = 15 << 12  # 61,440 bits: up to 247x247
 _SCHEDULE = _circuit.Schedule(_TABLE, _INT_STEP_MAX_BITS)
 
