@@ -91,6 +91,8 @@ class Schedule:
     register), "w" or "e" (the register of the cell to the west or east)
     or an earlier block, or one of these read one row up or down,
     (signal, -1) or (signal, 1). Outside the grid an input reads 0.
+    int_max_bits is the largest board, height * (width + 1) bits, that
+    evaluator() runs as one int.
 
     A signal read at a row offset lives in a bordered row plane (k, 0) and
     is read as (k, dy); row plane 0 is the registers. Any other signal
