@@ -112,13 +112,13 @@ class Schedule:
       input at a row offset.
     * Masked NOT. NOT is x ^ mask, with mask 1 on the cells alone, so a
       table whose last block is is23 & (bit0 | self), with is23 = lt4 &
-      bit1 and lt4 the NOT of ge4 (count >= 4), writes it straight into
-      the registers. Off the cells, where the registers and mask are 0,
-      that block is ge4 & bit1 & bit0: a count of 7. No bit there sees
-      more than six cells (an int's guard bit sees the last column of rows
-      y - 1 to y + 1 and the first column of rows y to y + 2; a plane's
-      padding bit or guard word one edge column of three rows), so the
-      registers stay 0 off the cells.
+      bit1 and lt4 the NOT of a signal g that, given bit1, is count >= 4,
+      writes it straight into the registers, as both tables do. Off the
+      cells, where the registers and mask are 0, that block is g & bit1 &
+      bit0: a count of 7. No bit there sees more than six cells (an int's
+      guard bit sees the last column of rows y - 1 to y + 1 and the first
+      column of rows y to y + 2; a plane's padding bit or guard word one
+      edge column of three rows), so the registers stay 0 off the cells.
     """
 
     def __init__(self, table, int_max_bits: int):

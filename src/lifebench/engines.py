@@ -31,9 +31,9 @@ ENGINE_KINDS = ("reference", "bitsliced", "circuit")
 # The bit-sliced step as a cell table in the input language of
 # circuit.Schedule: 2-bit horizontal sums (a pair for the cell's own row, a
 # triple for the rows above and below) are combined by two full adders and
-# a half adder into the 4-bit neighbor count, and the rule is applied to
-# the count bits. It is compiled once per process, at import, like the
-# circuit's cell table.
+# a half adder into the count's ones and twos bits. Given bit1 = f ^ c1, the
+# twos column adds to 1 + 2 * c2, so c2 is count >= 4. The table is compiled
+# once per process, at import, like the circuit's cell table.
 _TABLE = (
     ("hs", XOR, ("w", "e")),                        # (hs, hc) = w + e
     ("hc", AND, ("w", "e")),
@@ -44,17 +44,17 @@ _TABLE = (
     ("c1", MAJ3, (("ts", -1), "hs", ("ts", 1))),
     ("f", XOR3, (("tc", -1), "hc", ("tc", 1))),     # twos column before c1, carry c2
     ("c2", MAJ3, (("tc", -1), "hc", ("tc", 1))),
-    ("bit1", XOR, ("f", "c1")),                     # (bit1, c3) = f + c1
-    ("c3", AND, ("f", "c1")),
-    ("ge4", OR, ("c2", "c3")),                      # count >= 4
-    ("lt4", NOT, ("ge4",)),
+    ("bit1", XOR, ("f", "c1")),
+    ("lt4", NOT, ("c2",)),                          # given bit1, count < 4
     ("is23", AND, ("lt4", "bit1")),                 # count is 2 or 3
     ("b0_or_self", OR, ("bit0", "self")),
     ("next", AND, ("is23", "b0_or_self")),          # next cell state
 )
 
 # Largest board, height * (width + 1) bits, that _TABLE steps as one int.
-# Per-step time, int / planes, as for circuit._INT_TICK_MAX_BITS:
+# Per-step time, int / planes, as for circuit._INT_TICK_MAX_BITS, measured
+# on the 16-block table (the 14-block one still steps 240x240 faster on
+# one int: BENCH_bitsliced_rule.json):
 #   100x100   5 / 13 us    225x225  17 / 20 us    235x235  18 / 18 us
 #   245x245  19 / 20 us    250x250  20 / 19 us    300x300  29 / 25 us
 # The int step won every quiet run up to 245x245 and the planes every one
@@ -141,8 +141,8 @@ class BitSlicedEngine:
 
     Per step: 2-bit horizontal sums (pair for the cell's own row, triple
     for the rows above and below) are combined by full adders into the
-    4-bit neighbor count, and the rule is applied as a boolean expression
-    over the count bits. Bits shifted in from outside the grid are 0, the
+    neighbor count's low bits, and the rule is applied as a boolean
+    expression over them. Bits shifted in from outside the grid are 0, the
     same fixed dead boundary as the halo in the reference engine.
 
     The step is _TABLE, compiled and evaluated by the circuit module like

@@ -220,8 +220,8 @@ class Planes:
     ops that carry no cell into the next row. A bordered plane adds an
     all-zero row above and below, so the rows above and below any row are
     flat offset views of it (row()). The registers are the interior of
-    bordered plane 0. mask is 1 on the cells alone, 0 on padding bits and
-    guard words.
+    bordered plane 0. mask is 1 on the cells alone and 0, like the
+    registers, on padding bits and guard words.
 
     All planes are carved from one buffer, allocated here, once, so a step
     that writes into them allocates nothing: the bordered planes, the flat
@@ -248,10 +248,10 @@ class Planes:
         planes = planes[:, lead - stride:lead + self._size + stride]
         self._bordered = planes[:bordered].reshape(bordered, height + 2, stride)
         self.flat = planes[bordered:-1, stride:-stride]
-        self._mask = planes[-1, stride:-stride].reshape(height, stride)
-        self._mask[:, :rw] = MASK64
-        self._mask[:, rw - 1] = (1 << (width - 64 * (rw - 1))) - 1
-        self.mask = self._mask.reshape(-1)
+        mask = planes[-1, stride:-stride].reshape(height, stride)
+        mask[:, :rw] = MASK64
+        mask[:, rw - 1] = (1 << (width - 64 * (rw - 1))) - 1
+        self.mask = mask.reshape(-1)
         self._regs = self._bordered[0, 1:-1, :rw]
 
     def row(self, plane: int, dy: int = 0) -> np.ndarray:
@@ -278,9 +278,8 @@ class Planes:
         return ops
 
     def load(self, world: World) -> None:
-        """The world into the registers: one masked buffer copy."""
-        words = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
-        np.bitwise_and(words, self._mask[:, :-1], out=self._regs)
+        """The world into the registers: one buffer copy, as a World's padding bits are 0."""
+        self._regs[...] = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
 
     def world(self, generation: int) -> World:
         """The registers as a World: one buffer copy."""

@@ -138,6 +138,25 @@ def naive_step(world):
     return world_from_rows(world.width, world.height, rows, world.generation + 1)
 
 
+def neighbourhood_world():
+    """One world holding all 512 3x3 neighbourhoods, each ringed by dead cells.
+
+    Pattern p sets cell (dx, dy) of its tile when bit 3 * dy + dx of p is
+    set, so bit 4 is the centre. Tile p's top left is at (2 + 4 * (p % 32),
+    1 + 4 * (p // 32)) in a 130x65 world: the tiles of column 15 straddle
+    the 64-bit word boundary, and a row spans three words. Returns the world
+    and the centre (x, y) of each pattern.
+    """
+    rows = [0] * 65
+    centres = []
+    for p in range(512):
+        x0, y0 = 2 + 4 * (p % 32), 1 + 4 * (p // 32)
+        for dy in range(3):
+            rows[y0 + dy] |= (p >> 3 * dy & 7) << x0
+        centres.append((x0 + 1, y0 + 1))
+    return world_from_rows(130, 65, rows), centres
+
+
 def embed(world, margin):
     """Center a world in a dead frame `margin` cells wide."""
     live = {(x + margin, y + margin) for x, y in cells_of(world)}

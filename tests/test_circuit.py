@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BEACON_A, BEACON_B, bit_rows, cells_of, tick_in_order, world_from_rows
+from helpers import (BEACON_A, BEACON_B, bit_rows, cells_of, naive_step, neighbourhood_world,
+                     next_cell_state, tick_in_order, world_from_rows)
 from lifebench.circuit import (_CELL, _INT_TICK_MAX_BITS, CONST0, KIND_NAMES, SizeMismatch,
                               _IntTick, _PlaneTick, count_resources, elaborate, evaluator)
 from lifebench.engines import _INT_STEP_MAX_BITS, _SCHEDULE, CircuitEngine, run
@@ -217,16 +218,16 @@ def test_describe_pinned():
 def test_schedules_pinned():
     # The cell table: 31 gate steps on the registers and w and e as row
     # planes, and 6 flat planes; once w and e are dead, their row planes
-    # hold gate values too. The bit-sliced table: 22 gate steps on row
+    # hold gate values too. The bit-sliced table: 20 gate steps on row
     # planes for the registers, ts and tc, and 4 flat planes, w and e
     # among them. As ints it makes 2 register shifts, 4 row shifts and the
-    # 22 gates; on planes 2 shifts (6 with the carries of rows of more than
-    # one word) and the 22 gates.
+    # 20 gates; on planes 2 shifts (6 with the carries of rows of more than
+    # one word) and the 20 gates.
     assert (len(_CELL.steps), _CELL.n_rows, _CELL.n_flat) == (31, 3, 6)
-    assert (len(_SCHEDULE.steps), _SCHEDULE.n_rows, _SCHEDULE.n_flat) == (22, 3, 4)
-    for width, ops in ((1, 24), (64, 24), (65, 28), (1000, 28)):
+    assert (len(_SCHEDULE.steps), _SCHEDULE.n_rows, _SCHEDULE.n_flat) == (20, 3, 4)
+    for width, ops in ((1, 22), (64, 22), (65, 26), (1000, 26)):
         small = evaluator(_SCHEDULE, width, 3)
-        assert (small.name, small.ops_per_tick, small.plane_bytes) == ("int", 28, 0)
+        assert (small.name, small.ops_per_tick, small.plane_bytes) == ("int", 26, 0)
         big = evaluator(_SCHEDULE, width, _INT_STEP_MAX_BITS // (width + 1) + 1)
         assert (big.name, big.ops_per_tick) == ("planes", ops)
 
@@ -259,6 +260,23 @@ def test_int_and_plane_ticks_agree(schedule, data):
         for t in ticks:
             t.tick()
         assert ticks[0].world() == ticks[1].world()
+
+
+@pytest.mark.parametrize("tick", [_IntTick, _PlaneTick], ids=["int", "planes"])
+@pytest.mark.parametrize("schedule", [_CELL, _SCHEDULE], ids=["circuit", "bitsliced"])
+def test_every_neighbourhood(schedule, tick):
+    # Each of the 512 3x3 neighbourhoods, one generation, on both
+    # evaluators of both tables: the centre follows B3/S23, and every
+    # other cell matches the scalar oracle.
+    world, centres = neighbourhood_world()
+    ev = tick(schedule, world.width, world.height)
+    ev.load(world)
+    ev.tick()
+    stepped = ev.world()
+    for pattern, (x, y) in enumerate(centres):
+        count = (pattern & ~(1 << 4)).bit_count()
+        assert stepped.get(x, y) == next_cell_state(pattern >> 4 & 1, count), pattern
+    assert stepped == naive_step(world)
 
 
 # ---------------------------------------------------------------------------
