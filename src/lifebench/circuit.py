@@ -115,10 +115,10 @@ class Schedule:
       bit1 and lt4 the NOT of a signal g that, given bit1, is count >= 4,
       writes it straight into the registers, as both tables do. Off the
       cells, where the registers and mask are 0, that block is g & bit1 &
-      bit0: a count of 7. No bit there sees more than six cells (an int's
-      guard bit sees the last column of rows y - 1 to y + 1 and the first
-      column of rows y to y + 2; a plane's padding bit or guard word one
-      edge column of three rows), so the registers stay 0 off the cells.
+      bit0: a count of 7. No bit there sees more than six cells (a guard
+      bit, of an int or of a plane, at most the last column of rows y - 1
+      to y + 1 and the first column of rows y to y + 2), so the registers
+      stay 0 off the cells.
     """
 
     def __init__(self, table, int_max_bits: int):
@@ -264,7 +264,7 @@ class _PlaneTick:
     offset reads is a flat offset view. The tick is a list of ufunc calls,
     64 cells per op and with no allocation: the west and east shifts with
     their carries (Planes.shifts), then the schedule's steps bound to this
-    size's planes. The mask is zero on padding bits and guard words.
+    size's planes. The mask is zero on the guard bits.
     """
 
     name = "planes"

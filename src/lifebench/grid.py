@@ -9,8 +9,8 @@ A World's cells are one immutable bytes object, World.data. cells() and
 from_cells() are the one codec between it and an (height, width) 0/1
 array; the generator, pattern text and the byte and plane engines use it.
 board() and from_board() convert a World to and from the one-int layout
-that the bit-sliced engine and the circuit step on small worlds; Planes
-holds a larger world in the uint64 plane layout that both step there.
+of the bit-sliced engine and the circuit on small worlds, and Planes holds
+a larger one as uint64 planes; both close each row with zero guard bits.
 """
 
 from __future__ import annotations
@@ -214,14 +214,14 @@ PAGE = 4096
 class Planes:
     """A world's cells as bit-packed uint64 planes: the layout both plane evaluators step.
 
-    A plane is one flat array of height * stride words: each row's rw
-    words, then one zero guard word, so the west and east shifts (shifts(),
-    with the bit each carries across a word boundary) are contiguous 1-D
-    ops that carry no cell into the next row. A bordered plane adds an
-    all-zero row above and below, so the rows above and below any row are
-    flat offset views of it (row()). The registers are the interior of
-    bordered plane 0. mask is 1 on the cells alone and 0, like the
-    registers, on padding bits and guard words.
+    A plane is one flat array of height * stride words, stride the words
+    that hold width + 1 bits: a row's cells, then zero guard bits, as on a
+    board. Unless width % 64 == 0 they are the row's padding bits, so the
+    registers are World.data word for word. The west and east shifts
+    (shifts()) are 1-D ops that move a cell past its row's end only onto a
+    guard bit. A bordered plane adds an all-zero row above and below, so
+    the rows above and below any row are flat offset views of it (row()).
+    The registers are bordered plane 0's interior; mask is 1 on the cells.
 
     All planes are carved from one buffer, allocated here, once, so a step
     that writes into them allocates nothing: the bordered planes, the flat
@@ -234,14 +234,14 @@ class Planes:
     def __init__(self, width: int, height: int, bordered: int, flat: int):
         rw = (width + 63) >> 6
         self.width, self.height = width, height
-        self._stride = stride = rw + 1
+        self._stride = stride = (width + 64) >> 6
         self._size = height * stride
         page = PAGE // 8  # words
         lead = -(-stride // page) * page  # the pages before row 0
         span = -(-(lead + self._size + stride) // page) * page
         n = bordered + flat + 1
         # np.full writes every page now, so the first step does not pay
-        # the page faults; the border rows and guard words must be 0.
+        # the page faults; the border rows and guard bits must be 0.
         buf = np.full(n * span + page, 0, dtype=np.uint64)
         start = -buf.ctypes.data % PAGE // 8
         planes = buf[start:start + n * span].reshape(n, span)
@@ -269,7 +269,7 @@ class Planes:
         one, top = np.uint64(1), np.uint64(63)
         ops = [(np.left_shift, (regs, one, west)),
                (np.right_shift, (regs, one, east))]
-        if self._stride > 2:  # carry the bit that crosses each word boundary
+        if self.width > 64:  # carry the bit that crosses each word boundary
             carry = carry[:-1]
             ops += [(np.right_shift, (regs[:-1], top, carry)),
                     (np.bitwise_or, (west[1:], carry, west[1:])),
@@ -278,11 +278,11 @@ class Planes:
         return ops
 
     def load(self, world: World) -> None:
-        """The world into the registers: one buffer copy, as a World's padding bits are 0."""
+        """The world into the registers, its zero padding bits as guard bits: one copy."""
         self._regs[...] = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
 
     def world(self, generation: int) -> World:
-        """The registers as a World: one buffer copy."""
+        """The registers as a World: one tobytes, contiguous unless width % 64 == 0."""
         data = self._regs.astype("<u8", copy=False).tobytes()
         return World.from_bytes(self.width, self.height, data, generation)
 

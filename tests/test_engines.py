@@ -117,13 +117,13 @@ def test_circuit_equals_reference_32x32():
 
 def test_cross_engine_equivalence_size_sweep():
     # Degenerate and odd shapes from 1x1 up to 100x100, a few steps each;
-    # 200x200, past the largest board the circuit ticks as one int; and two
-    # tall worlds, past the largest board the bit-sliced engine steps as one.
+    # 200x200, past the largest board the circuit ticks as one int; and tall
+    # worlds, past the largest board the bit-sliced engine steps as one.
     sizes = [(1, 1), (1, 2), (2, 1), (1, 8), (8, 1), (2, 2), (3, 3), (1, 100),
              (100, 1), (2, 63), (63, 2), (64, 1), (64, 2), (65, 3), (5, 5),
              (7, 4), (9, 17), (13, 13), (31, 2), (32, 32), (33, 7), (50, 17),
              (64, 64), (65, 65), (77, 3), (100, 100), (200, 200), (65, tall(65)),
-             (300, tall(300))]
+             (127, tall(127)), (128, tall(128)), (300, tall(300))]
     rng = Rng(888)
     for w, h in sizes:
         world = random_world(w, h, 0.5, rng.next_u64())
@@ -140,14 +140,14 @@ def test_cross_engine_equivalence_size_sweep():
 @given(st.data())
 def test_compiled_tick_matches_bitsliced(data):
     # Widths at word boundaries are drawn explicitly and so often, as the
-    # carry, guard-word and masked-NOT passes of the compiled tick meet them.
+    # carry, guard-bit and masked-NOT passes of the compiled tick meet them.
     # A tall world repeats the drawn rows past the largest int board, so
     # the same widths reach the plane tick too. Every board here stays below
     # the largest one the bit-sliced engine steps as one int, so the oracle
     # runs its own table on the int evaluator. Both tables are compiled by
     # circuit.Schedule, so the reference engine, which shares no code with
     # either, is the independent oracle (the tests below and criterion 2).
-    width = data.draw(st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 200)))
+    width = data.draw(st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129]), st.integers(1, 200)))
     rows = data.draw(bit_rows(width, 1, 6))
     evaluator = data.draw(st.sampled_from(["int", "planes"]))
     height = len(rows) + (_INT_TICK_MAX_BITS // (width + 1) if evaluator == "planes" else 0)
@@ -183,7 +183,8 @@ def test_bitsliced_planes_match_reference(data):
     # The bit-sliced plane step shares grid.Planes with the circuit's plane
     # tick, so the reference engine is the oracle. The drawn rows repeat to
     # just past the largest board the bit-sliced engine steps as one int.
-    width = data.draw(st.one_of(st.sampled_from([1, 63, 64, 65, 128, 129]), st.integers(1, 300)))
+    width = data.draw(st.one_of(st.sampled_from([1, 63, 64, 65, 127, 128, 129]),
+                                st.integers(1, 300)))
     rows = data.draw(bit_rows(width, 1, 4))
     height = tall(width)
     world = world_from_rows(width, height, (rows * height)[:height])
@@ -195,10 +196,12 @@ def test_bitsliced_planes_match_reference(data):
 def test_step_keeps_padding_bits_zero(kind):
     # widths straddling word boundaries; stray bits would break word
     # equality. A tall world is stepped by the bit-sliced engine on planes.
-    # Live first and last columns show each guard bit or padding bit the
-    # most live cells it can see (six, for an int's guard bit).
+    # Live first and last columns show each guard bit the most live cells
+    # it can see (six, for an int's guard bit and for the one padding bit
+    # of a 127-cell plane row, which takes both carries).
     rng = Rng(414)
-    for w, h in [(63, 3), (64, 3), (65, 3), (100, 2), (129, tall(129))]:
+    for w, h in [(63, 3), (64, 3), (65, 3), (100, 2), (63, tall(63)), (127, tall(127)),
+                 (128, tall(128)), (129, tall(129))]:
         edges = world_from_rows(w, h, [1 | 1 << (w - 1)] * h)
         for world in (random_world(w, h, 0.8, rng.next_u64()), edges):
             stepped = run(kind, world, 2)
@@ -316,7 +319,7 @@ def test_no_world_before_load(kind, call):
 def test_plane_steps_allocate_nothing():
     # 20 steps of the bit-sliced plane step and 20 ticks of the circuit's
     # plane tick, after one warm-up call, each peak below one plane's bytes.
-    plane = 500 * ((500 + 63) // 64 + 1) * 8
+    plane = 500 * ((500 + 64) >> 6) * 8  # 32,000 bytes: rows of 500 + 1 bits
     world = random_world(500, 500, 0.5, 7)
     netlist = elaborate(500, 500, world)
     assert netlist.describe()["evaluator"] == "planes"

@@ -328,6 +328,20 @@ def test_planes_start_on_page_boundaries(width, height):
         assert not p.row(k, -1)[:stride].any() and not p.row(k, 1)[-stride:].any()
 
 
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 127, 128, 500, 1000])
+def test_planes_rows_close_with_a_guard_bit(width):
+    # A row's stride is the words that hold width + 1 bits, as a board's
+    # row is width + 1 bits: World.data's row words unless width % 64 == 0,
+    # then one guard word more.
+    height = 5
+    p = Planes(width, height, bordered=1, flat=1)
+    assert p.row(0).size == height * ((width + 64) >> 6)
+    for world in (random_world(width, height, 0.5, width),
+                  from_cells(np.ones((height, width), dtype=bool))):
+        p.load(world)
+        assert p.world(world.generation) == world
+
+
 @settings(max_examples=100, deadline=None)
 @given(worlds())
 def test_pattern_roundtrip_any_world(world):
