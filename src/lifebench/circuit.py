@@ -3,16 +3,15 @@ compiler that steps both bit-parallel engines.
 
 Each cell is one D flip-flop, a popcount adder tree over its eight neighbor
 registers, and rule logic on the 4-bit sum, written once as a table of gate
-blocks. A Netlist replicates the table into an explicit node graph, built
-on first read, in which neighbor inputs that would fall outside the grid
-are wired to a constant-0 node. The whole world updates on every clock
-tick. A Schedule compiles such a table the way synthesis would; the
-bit-sliced engine's adder chain is a second table, compiled the same way.
-evaluator() binds a schedule to one world size, which picks how it runs: a
-small world is one Python int in the grid.board layout, ticked by one
-straight-line function generated from the schedule, with no dispatch per
-op; a larger one is bit-packed uint64 planes (grid.Planes), 64 cells per
-ufunc call with no allocation.
+blocks. A Netlist replicates the table over the grid, with a constant 0
+for every neighbor input that would fall outside it. The whole world
+updates on every clock tick. A Schedule compiles such a table the way
+synthesis would; the bit-sliced engine's adder chain is a second table,
+compiled the same way. evaluator() binds a schedule to one world size,
+which picks how it runs: a small world is one Python int in the
+grid.board layout, ticked by one straight-line function generated from
+the schedule, with no dispatch per op; a larger one is bit-packed uint64
+planes (grid.Planes), 64 cells per ufunc call with no allocation.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ class SizeMismatch(ValueError):
 # neighbor registers are w, self and e of the rows above and below, and w
 # and e of the cell's own row. Three neighbors feed each of two full
 # adders and the last two a half adder; the last block is the register's
-# D input. Netlist replicates this table into the explicit graph and
-# compiles it into its tick, so the rule is written once.
+# D input. Netlist compiles this table into its tick and describe() counts
+# its nodes from it, so the rule is written once.
 _NW, _N, _NE, _SW, _S, _SE = ("w", -1), ("self", -1), ("e", -1), ("w", 1), ("self", 1), ("e", 1)
 _BLOCKS = (
     ("sum_a", XOR3, (_NW, _N, _NE)),
@@ -71,8 +70,6 @@ _BLOCKS = (
     ("b0_or_self", OR, ("bit0", "self")),
     ("next", AND, ("is23", "b0_or_self")),          # next cell state
 )
-_BLOCK_INDEX = {name: i for i, (name, _, _) in enumerate(_BLOCKS)}
-_DX = {"w": -1, "self": 0, "e": 1}  # the register column each of these reads
 
 _BINARY_UFUNCS = {AND: np.bitwise_and, OR: np.bitwise_or, XOR: np.bitwise_xor}
 _SYMBOLS = {np.bitwise_and: "&", np.bitwise_or: "|", np.bitwise_xor: "^"}
@@ -298,68 +295,27 @@ class _PlaneTick:
 
 
 class Netlist:
-    """Explicit register + gate graph for one world size.
-
-    Node ids: 0..R-1 are the cell state registers (row-major), id R is the
-    shared constant-0 node, and ids R+1.. are gates in topological order,
-    one contiguous block of R nodes per signal of the cell table.
+    """The cell table's registers and gates, replicated over one world size.
 
     A tick runs the cell table's schedule on evaluator(), which the
-    world's size picks. The explicit graph (kinds, inputs, reg_next),
-    which the tick never reads, is built on first read; describe() reports
-    the structure without it. Use elaborate() to build one. Do not tick an
-    instance from two threads at once; distinct netlists are independent.
+    world's size picks: tick and to_world are the evaluator's own tick and
+    world, which returns the registers as a World whose generation is the
+    loaded one's plus the ticks since. Each block reads only registers and
+    earlier blocks, and the registers are overwritten by the last step
+    alone, so no register update is visible before the simultaneous latch.
+    A new netlist powers up all dead. Use elaborate() to build one. Do not
+    tick an instance from two threads at once; distinct netlists are
+    independent.
     """
 
-    def __init__(self, width: int, height: int, initial: World):
+    def __init__(self, width: int, height: int):
         self.width = width
         self.height = height
         self.n_registers = width * height
-        self._initial = initial    # the reset pattern
+        self.n_comb_nodes = 1 + len(_BLOCKS) * self.n_registers  # the gates and one constant 0
         self._eval = evaluator(_CELL, width, height)
-        self.reset()
-
-    kinds = property(lambda self: self._graph[0])     # int8 (C,), per gate node (const included)
-    inputs = property(lambda self: self._graph[1])    # int32 (C, 3), node ids, -1 = unused
-    reg_next = property(lambda self: self._graph[2])  # intp (R,), each register's D input
-
-    @cached_property
-    def _graph(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The explicit graph; block i of the cell table is node ids const + 1 + i*n + cell."""
-        width, height, n = self.width, self.height, self.n_registers
-        const = self.const_id
-        cell = np.arange(n, dtype=np.int32).reshape(height, width)
-        kinds = np.empty(self.n_comb_nodes, dtype=np.int8)
-        inputs = np.empty((self.n_comb_nodes, 3), dtype=np.int32)
-        kinds[0] = CONST0
-        inputs[0] = -1
-        for i, (_, kind, sources) in enumerate(_BLOCKS):
-            lo = 1 + i * n
-            kinds[lo:lo + n] = kind
-            block = inputs[lo:lo + n].reshape(height, width, 3)
-            block[:, :, len(sources):] = -1
-            for col, (src, dy) in enumerate(map(_signal, sources)):
-                out = block[:, :, col]
-                dx = _DX.get(src, 0)
-                base = 0 if src in _DX else const + 1 + _BLOCK_INDEX[src] * n
-                out.fill(const)
-                ys = slice(max(0, -dy), height - max(0, dy))
-                xs = slice(max(0, -dx), width - max(0, dx))
-                np.add(cell[ys, xs], base + dy * width + dx, out=out[ys, xs])
-        nxt = const + 1 + (len(_BLOCKS) - 1) * n
-        return kinds, inputs, np.arange(nxt, nxt + n, dtype=np.intp)
-
-    @property
-    def n_comb_nodes(self) -> int:
-        return 1 + len(_BLOCKS) * self.n_registers
-
-    @property
-    def const_id(self) -> int:
-        return self.n_registers
-
-    def reset(self) -> None:
-        """Latch the reset pattern into the registers."""
-        self._eval.load(self._initial)
+        self.tick, self.to_world = self._eval.tick, self._eval.world
+        self._eval.load(World.empty(width, height))
 
     def load(self, world: World) -> None:
         """Overwrite register state with a world of matching size."""
@@ -368,32 +324,19 @@ class Netlist:
                 f"netlist is {self.width}x{self.height}, world is {world.width}x{world.height}")
         self._eval.load(world)
 
-    def to_world(self) -> World:
-        """The registers as a World whose generation is the loaded one's plus the ticks since."""
-        return self._eval.world()
-
-    def tick(self) -> None:
-        """One clock: evaluate all gate blocks from register values, then latch.
-
-        Each block reads only registers and earlier blocks, and the
-        registers are overwritten by the last step alone, so no register
-        update is visible before the simultaneous latch.
-        """
-        self._eval.tick()
-
     def describe(self) -> dict:
         """The netlist's structure, from the cell table and the compiled tick.
 
-        nodes: node count per kind in the explicit graph (REG for the
-        registers), which is not built; depth: logic depth in gate levels
-        from the registers to their D inputs; evaluator: "int" or
-        "planes"; ops_per_tick: the evaluator's operator or ufunc calls per
-        clock; plane_bytes: bytes of the flat planes the tick evaluates
-        into, the NOT mask included (not the row planes), 0 for the int
-        evaluator.
+        nodes: node count per kind of the cell table replicated over the
+        grid, with one shared constant 0 (REG for the registers); depth:
+        logic depth in gate levels from the registers to their D inputs;
+        evaluator: "int" or "planes"; ops_per_tick: the evaluator's
+        operator or ufunc calls per clock; plane_bytes: bytes of the flat
+        planes the tick evaluates into, the NOT mask included (not the row
+        planes), 0 for the int evaluator.
         """
         nodes = {"REG": self.n_registers, **dict.fromkeys(KIND_NAMES, 0), "CONST0": 1}
-        level = dict.fromkeys(_DX, 0)
+        level = dict.fromkeys(("w", "self", "e"), 0)
         for name, kind, sources in _BLOCKS:
             nodes[KIND_NAMES[kind]] += self.n_registers
             level[name] = 1 + max(level[_signal(src)[0]] for src in sources)
@@ -401,21 +344,16 @@ class Netlist:
                 "ops_per_tick": self._eval.ops_per_tick, "plane_bytes": self._eval.plane_bytes}
 
 
-def elaborate(width: int, height: int, initial: World | None = None) -> Netlist:
-    """Replicate the per-cell circuit over a width x height grid.
+def elaborate(width: int, height: int) -> Netlist:
+    """Replicate the per-cell circuit over a width x height grid, all cells dead.
 
     Every cell gets a register, a full-adder popcount tree over its eight
     neighbor registers (constant-0 stands in for missing neighbors), and
-    the rule logic comparing the 4-bit sum against 2 and 3. `initial`
-    supplies the register reset pattern (all dead if omitted).
+    the rule logic comparing the 4-bit sum against 2 and 3.
     """
     if width < 1 or height < 1:
         raise ValueError(f"netlist dimensions must be >= 1, got {width}x{height}")
-    if initial is not None and (initial.width, initial.height) != (width, height):
-        raise SizeMismatch(
-            f"initial world is {initial.width}x{initial.height}, netlist is {width}x{height}")
-
-    return Netlist(width, height, initial or World.empty(width, height))
+    return Netlist(width, height)
 
 
 def count_resources(netlist: Netlist) -> tuple[int, int]:

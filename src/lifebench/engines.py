@@ -173,30 +173,34 @@ class CircuitEngine:
 
     A netlist elaborated for another size is rejected; without a fixed
     netlist one is elaborated (and reused) for the loaded world's size.
+    load() binds step() straight to the netlist's tick, and binds it again
+    only when the netlist changes, so a step set in its place since
+    survives a load of the same size. world() stays a method of the class,
+    so that patching the class reaches every instance.
     """
 
     kind = "circuit"
+    step = _no_world
 
     def __init__(self, world: World | None = None, netlist: "_circuit.Netlist | None" = None):
-        self._netlist = netlist
-        self._fixed = netlist is not None
-        self._tick = self._read = _no_world  # until load() binds the netlist's
+        self._fixed = netlist  # the one netlist this engine steps, if given
+        self._netlist = None  # the netlist step() is bound to
         if world is not None:
             self.load(world)
 
     def load(self, world: World) -> None:
-        n = self._netlist
-        if n is None or (not self._fixed and (n.width, n.height) != (world.width, world.height)):
-            n = _circuit.elaborate(world.width, world.height)
-            self._netlist = n
+        n = self._fixed or self._netlist
+        if n is None or (n.width, n.height) != (world.width, world.height):
+            n = self._fixed or _circuit.elaborate(world.width, world.height)
         n.load(world)  # SizeMismatch if a fixed netlist is for another size
-        self._tick, self._read = n.tick, n.to_world
-
-    def step(self) -> None:
-        self._tick()
+        if n is not self._netlist:
+            self._netlist = n
+            self.step = n.tick
 
     def world(self) -> World:
-        return self._read()
+        if self._netlist is None:
+            _no_world()
+        return self._netlist.to_world()
 
 
 _ENGINES = {

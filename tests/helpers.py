@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from lifebench.circuit import AND, CONST0, NOT, OR, XOR, XOR3
+from lifebench.circuit import _BLOCKS, AND, CONST0, NOT, OR, XOR, XOR3, _signal
 from lifebench.grid import MASK64, Rng, World, cells
 
 # Two phases of the beacon oscillator (period 2).
@@ -175,20 +175,60 @@ def crop(world, margin):
     return world_from_cells(w, h, live, world.generation)
 
 
+_DX = {"w": -1, "self": 0, "e": 1}  # the register column each of these reads
+
+
+def node_graph(netlist):
+    """The netlist's explicit register + gate graph, (kinds, inputs, reg_next).
+
+    Node ids: 0..R-1 are the cell state registers (row-major), id R is the
+    shared constant-0 node, and ids R+1.. are gates in topological order,
+    one contiguous block of R nodes per signal of the cell table: block i
+    is ids R + 1 + i*R + cell. kinds is int8 (C,), per gate node (constant
+    included); inputs is int32 (C, 3), node ids, -1 = unused, with the
+    constant wired to every neighbor input outside the grid; reg_next is
+    intp (R,), each register's D input.
+    """
+    width, height, n = netlist.width, netlist.height, netlist.n_registers
+    const = n
+    index = {name: i for i, (name, _, _) in enumerate(_BLOCKS)}
+    cell = np.arange(n, dtype=np.int32).reshape(height, width)
+    kinds = np.empty(netlist.n_comb_nodes, dtype=np.int8)
+    inputs = np.empty((netlist.n_comb_nodes, 3), dtype=np.int32)
+    kinds[0] = CONST0
+    inputs[0] = -1
+    for i, (_, kind, sources) in enumerate(_BLOCKS):
+        lo = 1 + i * n
+        kinds[lo:lo + n] = kind
+        block = inputs[lo:lo + n].reshape(height, width, 3)
+        block[:, :, len(sources):] = -1
+        for col, (src, dy) in enumerate(map(_signal, sources)):
+            out = block[:, :, col]
+            dx = _DX.get(src, 0)
+            base = 0 if src in _DX else const + 1 + index[src] * n
+            out.fill(const)
+            ys = slice(max(0, -dy), height - max(0, dy))
+            xs = slice(max(0, -dx), width - max(0, dx))
+            np.add(cell[ys, xs], base + dy * width + dx, out=out[ys, xs])
+    nxt = const + 1 + (len(_BLOCKS) - 1) * n
+    return kinds, inputs, np.arange(nxt, nxt + n, dtype=np.intp)
+
+
 def tick_in_order(netlist, order):
-    """One clock of the explicit graph, evaluating gates one at a time.
+    """One clock of node_graph(netlist), evaluating gates one at a time.
 
     `order` must be a topological permutation of the combinational node ids
     (constant included). Node values live in a per-node bool vector seeded
     from the netlist's registers; the next states are latched back through
     netlist.load. Far too slow for real stepping.
     """
+    kinds, inputs, reg_next = node_graph(netlist)
     base = netlist.n_registers
     v = np.zeros(base + netlist.n_comb_nodes, dtype=bool)
     v[:base] = cells(netlist.to_world()).ravel()
     for nid in order:
-        k = netlist.kinds[nid - base]
-        a, b, c = netlist.inputs[nid - base]
+        k = kinds[nid - base]
+        a, b, c = inputs[nid - base]
         if k == CONST0:
             v[nid] = False
         elif k == AND:
@@ -204,5 +244,5 @@ def tick_in_order(netlist, order):
         else:
             v[nid] = (v[a] & v[b]) | (v[a] & v[c]) | (v[b] & v[c])
     w = netlist.width
-    live = np.flatnonzero(v[netlist.reg_next]).tolist()
+    live = np.flatnonzero(v[reg_next]).tolist()
     netlist.load(world_from_cells(w, netlist.height, {(i % w, i // w) for i in live}))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (BEACON_A, BEACON_B, bit_rows, cells_of, naive_step, neighbourhood_world,
-                     next_cell_state, tick_in_order, world_from_rows)
+                     next_cell_state, node_graph, tick_in_order, world_from_rows)
 from lifebench.circuit import (_CELL, _INT_TICK_MAX_BITS, CONST0, KIND_NAMES, SizeMismatch,
                               _IntTick, _PlaneTick, count_resources, elaborate, evaluator)
 from lifebench.engines import _INT_STEP_MAX_BITS, _SCHEDULE, CircuitEngine, run
@@ -18,12 +18,13 @@ from lifebench.refdata import (REGISTER_OVERHEAD, CalibrationTable, CalRow, OutO
 
 def comb_level(netlist):
     """Level of every node: registers and the constant are 0, gates 1 + max(input)."""
+    kinds, inputs, _ = node_graph(netlist)
     base = netlist.n_registers
     levels = np.zeros(base + netlist.n_comb_nodes, dtype=int)
     for k in range(netlist.n_comb_nodes):
-        if netlist.kinds[k] == CONST0:
+        if kinds[k] == CONST0:
             continue
-        ins = [i for i in netlist.inputs[k] if i >= 0]
+        ins = [i for i in inputs[k] if i >= 0]
         levels[base + k] = 1 + max(levels[i] for i in ins)
     return levels
 
@@ -44,11 +45,11 @@ def test_1x1_isolated_cell():
     regs, _ = count_resources(n)
     assert regs == 1
     # every popcount leaf (inputs of the level-1 adder nodes) is the constant
-    levels = comb_level(n)
+    levels, (_, inputs, _) = comb_level(n), node_graph(n)
     leaves = [i for k in range(n.n_comb_nodes) if levels[n.n_registers + k] == 1
-              for i in n.inputs[k] if i >= 0]
+              for i in inputs[k] if i >= 0]
     assert len(leaves) == 16  # 8 neighbor slots, each read by a sum and a carry
-    assert all(i == n.const_id for i in leaves)
+    assert all(i == n.n_registers for i in leaves)  # the constant's id
     # a live isolated cell dies on the next tick (count 0)
     n.load(World(1, 1, (1,)))
     n.tick()
@@ -62,13 +63,13 @@ def test_corner_cell_const_inputs():
     base = n.n_registers
     # popcount leaves of the corner cell = inputs of its six level-1 adder
     # nodes; each of the 8 neighbor slots is read twice (sum and carry)
-    levels = comb_level(n)
+    levels, (_, inputs, _) = comb_level(n), node_graph(n)
     leaves = []
     for k in range(1, n.n_comb_nodes):
         if levels[base + k] == 1 and (k - 1) % n.n_registers == 0:
-            leaves.extend(int(i) for i in n.inputs[k] if i >= 0)
+            leaves.extend(int(i) for i in inputs[k] if i >= 0)
     assert len(leaves) == 16
-    assert leaves.count(n.const_id) == 10  # 5 missing neighbors, read twice
+    assert leaves.count(base) == 10  # the constant: 5 missing neighbors, read twice
     live_capable = [i for i in leaves if i < base]
     assert len(live_capable) == 6  # 3 in-grid neighbors, read twice
     assert set(live_capable) == {1, 3, 4}  # registers (1,0), (0,1), (1,1)
@@ -81,26 +82,24 @@ def test_node_count_scales_quadratically():
 
 
 def test_elaboration_deterministic():
-    a = elaborate(9, 4)
-    b = elaborate(9, 4)
-    assert np.array_equal(a.kinds, b.kinds)
-    assert np.array_equal(a.inputs, b.inputs)
-    assert np.array_equal(a.reg_next, b.reg_next)
+    for a, b in zip(node_graph(elaborate(9, 4)), node_graph(elaborate(9, 4))):
+        assert np.array_equal(a, b)
 
 
 def test_combinational_graph_is_acyclic():
     n = elaborate(5, 7)
+    _, inputs, reg_next = node_graph(n)
     base = n.n_registers
     for k in range(n.n_comb_nodes):
-        for i in n.inputs[k]:
+        for i in inputs[k]:
             if i >= 0:
                 assert i < base + k  # inputs strictly earlier: a DAG
     # the only cycles go through registers
-    assert all(nid >= base for nid in n.reg_next)
+    assert all(nid >= base for nid in reg_next)
 
 
-# sha256 over kinds, inputs and reg_next as int64, pinned from the netlist
-# that the original gather-based emulation elaborated.
+# sha256 over node_graph's kinds, inputs and reg_next as int64, pinned from
+# the netlist that the original gather-based emulation elaborated.
 GRAPH_DIGESTS = {
     (1, 1): "b173290dd244f00675d5bd74f2b8760ed32215275cdbb3f65a7e6aac8f0cb02b",
     (7, 5): "944e30fd26f38800545e1b6f9d6d75d74790ce367ea118f0927fa0a9762491fb",
@@ -111,9 +110,8 @@ GRAPH_DIGESTS = {
 
 @pytest.mark.parametrize("size", sorted(GRAPH_DIGESTS))
 def test_graph_pinned(size):
-    n = elaborate(*size)
     digest = hashlib.sha256()
-    for array in (n.kinds, n.inputs, n.reg_next):
+    for array in node_graph(elaborate(*size)):
         digest.update(np.ascontiguousarray(array, dtype=np.int64).tobytes())
     assert digest.hexdigest() == GRAPH_DIGESTS[size]
 
@@ -121,8 +119,8 @@ def test_graph_pinned(size):
 def test_elaborate_rejects_bad_args():
     with pytest.raises(ValueError):
         elaborate(0, 3)
-    with pytest.raises(SizeMismatch):
-        elaborate(4, 4, initial=World.empty(3, 3))
+    with pytest.raises(ValueError):
+        elaborate(3, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +130,18 @@ def test_elaborate_rejects_bad_args():
 
 def test_beacon_ticks():
     start = parse_pattern(BEACON_A)
-    n = elaborate(6, 6, initial=start)
-    assert n.to_world() == start  # registers reset to the starting pattern
+    n = elaborate(6, 6)
+    n.load(start)
+    assert n.to_world() == start
     n.tick()
     assert cells_of(n.to_world()) == cells_of(parse_pattern(BEACON_B))
     n.tick()
     assert n.to_world() == start
 
 
-def test_reset_restores_initial_pattern():
-    start = parse_pattern(BEACON_A)
-    n = elaborate(6, 6, initial=start)
-    n.tick()
-    n.reset()
-    assert n.to_world() == start
-
-
 def test_all_dead_stays_dead():
     n = elaborate(4, 4)
+    assert n.to_world() == World.empty(4, 4)  # a new netlist powers up all dead
     for _ in range(3):
         n.tick()
         assert population(n.to_world()) == 0
@@ -192,13 +184,13 @@ def test_describe_pinned():
     for width, height in [(2, 2), (70, 3)]:
         n = elaborate(width, height)
         r = n.n_registers
-        info = n.describe()
+        info, kinds = n.describe(), node_graph(n)[0]
         assert info["nodes"] == {"REG": r, "CONST0": 1, "AND": 5 * r, "OR": 2 * r, "NOT": r,
                                  "XOR": 3 * r, "XOR3": 4 * r, "MAJ3": 4 * r}
         assert sum(info["nodes"].values()) == r + n.n_comb_nodes
         for name, count in info["nodes"].items():
             if name != "REG":
-                assert np.count_nonzero(n.kinds == KIND_NAMES.index(name)) == count
+                assert np.count_nonzero(kinds == KIND_NAMES.index(name)) == count
         assert info["depth"] == 8 == comb_level(n).max()
         # 8 neighbor shifts, 4 pairs of XOR3/MAJ3 at 5 ops each and 11
         # other gates, whatever the width

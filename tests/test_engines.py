@@ -243,6 +243,15 @@ def test_circuit_engine_size_mismatch():
     netlist = elaborate(6, 6)
     with pytest.raises(SizeMismatch):
         run(CircuitEngine(netlist=netlist), World.empty(5, 5), 1)
+    # A refused load leaves the engine with the world it held.
+    world = random_world(6, 6, 0.5, 5)
+    engine, oracle = CircuitEngine(world, netlist=netlist), make_engine("reference", world)
+    with pytest.raises(SizeMismatch):
+        engine.load(World.empty(5, 5))
+    for _ in range(3):
+        engine.step()
+        oracle.step()
+        assert engine.world() == oracle.world()
 
 
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
@@ -308,12 +317,42 @@ def test_world_readback_is_not_a_view(kind):
         assert out == World(70, h, words)
 
 
-@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("kind", [*ENGINE_KINDS, "circuit-netlist"])
 @pytest.mark.parametrize("call", ["step", "world"])
 def test_no_world_before_load(kind, call):
+    # "circuit-netlist" is a circuit engine given a netlist, which powers up
+    # all dead but holds no loaded world.
+    if kind == "circuit-netlist":
+        engine = CircuitEngine(netlist=elaborate(3, 3))
+    else:
+        engine = make_engine(kind)
     with pytest.raises(NoWorld, match="^no world loaded"):
-        getattr(make_engine(kind), call)()
+        getattr(engine, call)()
     assert issubclass(NoWorld, ValueError)
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+def test_wrappers_survive_same_size_load(kind):
+    # What a caller sets in place of step and world, as a tracer wrapping
+    # every call does, stays through a load of a world of the same size.
+    engine = make_engine(kind, random_world(9, 6, 0.5, 1))
+    step, world, calls = engine.step, engine.world, []
+
+    def traced_step():
+        calls.append("step")
+        step()
+
+    def traced_world():
+        calls.append("world")
+        return world()
+
+    engine.step, engine.world = traced_step, traced_world
+    second = random_world(9, 6, 0.5, 2)
+    engine.load(second)
+    assert (engine.step, engine.world) == (traced_step, traced_world)
+    engine.step()
+    assert engine.world() == run("reference", second, 1)
+    assert calls == ["step", "world"]
 
 
 def test_plane_steps_allocate_nothing():
@@ -321,7 +360,8 @@ def test_plane_steps_allocate_nothing():
     # plane tick, after one warm-up call, each peak below one plane's bytes.
     plane = 500 * ((500 + 64) >> 6) * 8  # 32,000 bytes: rows of 500 + 1 bits
     world = random_world(500, 500, 0.5, 7)
-    netlist = elaborate(500, 500, world)
+    netlist = elaborate(500, 500)
+    netlist.load(world)
     assert netlist.describe()["evaluator"] == "planes"
     for step in (make_engine("bitsliced", world).step, netlist.tick):
         step()
