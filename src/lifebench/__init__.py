@@ -1,11 +1,12 @@
 """lifebench: Game of Life step engines, benchmarks, and FPGA cost models.
 
-The FPGA model (lifebench.refdata) and the comparison tables
-(lifebench.energy) read the packaged data; import them from there.
+`import lifebench` loads only what steps worlds: grid, circuit and engines.
+The harness (bench), the FPGA model (refdata), the comparison tables
+(energy) and the CLI (cli) load on first use, by attribute or by import.
 """
 
-from .bench import (BenchConfig, BenchSample, RegressionFit, linear_fit, run_bench,
-                    samples_to_csv, speedup)
+import importlib
+
 from .circuit import Netlist, count_resources, elaborate
 from .engines import ENGINE_KINDS, make_engine, run
 from .grid import Rng, World, parse_pattern, population, random_world, serialize_pattern
@@ -18,3 +19,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import a deferred submodule, or fetch a bench name, on first access."""
+    if name in ("bench", "cli", "energy", "refdata"):
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in __all__:  # every name in __all__ that is not bound above is bench's
+        return getattr(importlib.import_module(f"{__name__}.bench"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,6 @@ them only at display time (3 fractional digits in CSV output).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -54,8 +53,8 @@ class BenchConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.min_steps < 1:
             raise ValueError("min_steps must be >= 1")
-        if not (math.isfinite(self.min_duration) and self.min_duration >= 0):
-            raise ValueError(f"min_duration must be a finite number >= 0, got {self.min_duration}")
+        if not 0 <= self.min_duration * 1e9 < 2 ** 63:  # also rejects NaN; as in BenchSample
+            raise ValueError(f"min_duration must be in [0 s, 2**63 ns), got {self.min_duration}")
         if self.warmup_steps < 0:
             raise ValueError("warmup_steps must be >= 0")
         if not 0.0 <= self.density <= 1.0:  # also rejects NaN

@@ -12,12 +12,8 @@ import math
 import sys
 from pathlib import Path
 
-from . import bench
-from .energy import (DEFAULT_PROFILES, EnergyInputError, PowerProfile, comparison_csv,
-                     comparison_markdown, comparison_table, energy_per_step, format_energy)
 from .engines import ENGINE_KINDS, run
 from .grid import PatternError, parse_pattern, serialize_pattern
-from .refdata import OutOfRange, estimate_resources, published_samples
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -106,7 +102,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = bench.BenchConfig(sizes=args.sizes, engine=args.engine,
+    from . import bench
+    cfg = bench.BenchConfig(sizes=args.sizes or bench.DEFAULT_SIZES, engine=args.engine,
                             min_steps=args.min_steps, min_duration=args.min_duration,
                             warmup_steps=args.warmup, seed=args.seed,
                             density=args.density)
@@ -136,6 +133,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .bench import speedup
+    from .energy import EnergyInputError, energy_per_step, energy_ratio, format_energy
+    from .refdata import OutOfRange, estimate_resources
     width, height = args.size
     try:
         est = estimate_resources(width, height, extrapolate=args.extrapolate)
@@ -143,9 +143,7 @@ def cmd_estimate(args) -> int:
         fpga_energy = energy_per_step(args.power_fpga, fpga_ns * 1e-9)
         if args.sw_ns_per_step is not None:
             sw_energy = energy_per_step(args.power_sw, args.sw_ns_per_step * 1e-9)
-            ratio = sw_energy / fpga_energy
-            if not math.isfinite(ratio):
-                raise EnergyInputError("energy ratio is out of floating-point range")
+            ratio = energy_ratio(sw_energy, fpga_energy)
     except (OutOfRange, EnergyInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -158,12 +156,16 @@ def cmd_estimate(args) -> int:
     if args.sw_ns_per_step is not None:
         print(f"software ns/step: {args.sw_ns_per_step}")
         print(f"software energy/step: {format_energy(sw_energy)} ({sw_energy:.7g} J)")
-        print(f"speedup fpga vs software: {bench.speedup(args.sw_ns_per_step, fpga_ns):.1f}")
+        print(f"speedup fpga vs software: {speedup(args.sw_ns_per_step, fpga_ns):.1f}")
         print(f"energy ratio software/fpga: {ratio:.1f}")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
+    from . import bench
+    from .energy import (DEFAULT_PROFILES, PowerProfile, comparison_csv, comparison_markdown,
+                         comparison_table)
+    from .refdata import published_samples
     device_samples = {}
     if args.published:
         device_samples.update(published_samples())
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="time engine steps over a ladder of world sizes")
-    p.add_argument("--sizes", type=parse_sizes, default=bench.DEFAULT_SIZES,
+    p.add_argument("--sizes", type=parse_sizes, default=None,
                    help="e.g. '10x10..100x100:10' or '8x8,16x16' (default: the 10..100 ladder)")
     p.add_argument("--engine", choices=ENGINE_KINDS, default="reference")
     p.add_argument("--min-steps", type=_nonneg_int, default=1_000_000)

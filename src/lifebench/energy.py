@@ -56,6 +56,14 @@ def energy_per_step(watts: float, seconds: float) -> float:
     return joules
 
 
+def energy_ratio(sw_joules: float, fpga_joules: float) -> float:
+    """Software over FPGA energy per step; a ratio past float range is rejected."""
+    ratio = sw_joules / fpga_joules
+    if not math.isfinite(ratio):
+        raise EnergyInputError("energy ratio is out of floating-point range")
+    return ratio
+
+
 def format_energy(joules: float) -> str:
     """Human-readable energy with 4 significant digits (nJ/uJ/mJ/J)."""
     for unit, scale in (("nJ", 1e-9), ("uJ", 1e-6), ("mJ", 1e-3)):

@@ -1,5 +1,9 @@
 import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lifebench
 from helpers import BEACON_A
 from lifebench.cli import main, parse_size, parse_sizes
 
@@ -105,6 +110,40 @@ def test_run_missing_file_exit_1(capsys):
     assert "error" in err
 
 
+_LOAD_PROBE = """
+import json, sys
+import lifebench, lifebench.cli
+code = lifebench.cli.main(["run", sys.argv[1], "--engine", "bitsliced", "--out", sys.argv[2]])
+deferred = ("lifebench.bench", "lifebench.energy", "lifebench.refdata")
+loaded = [name for name in deferred if name in sys.modules]
+star = {}
+exec("from lifebench import *", star)
+print(json.dumps({
+    "code": code, "loaded": loaded,
+    "resolved": [lifebench.energy.__name__, lifebench.refdata.__name__,
+                 lifebench.BenchConfig.__qualname__],
+    "star": sorted(name for name in star if name != "__builtins__"),
+    "nope": hasattr(lifebench, "nope"),
+}))
+"""
+
+
+def test_run_loads_no_bench_energy_or_refdata(tmp_path):
+    """In a fresh interpreter, `run` leaves bench, energy and refdata unimported,
+    and each still resolves on first use."""
+    pattern, out = tmp_path / "block.txt", tmp_path / "out.txt"
+    pattern.write_text("OO\nOO\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(lifebench.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, str(pattern), str(out)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0 and out.read_text() == "OO\nOO\n"
+    assert result["loaded"] == []
+    assert result["resolved"] == ["lifebench.energy", "lifebench.refdata", "BenchConfig"]
+    assert result["star"] == sorted(lifebench.__all__)
+    assert result["nope"] is False
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -155,7 +194,8 @@ def test_bench_two_sizes_prints_fit(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--min-duration", "nan"), ("--min-duration", "inf"),
-                                         ("--min-duration", "-1"), ("--density", "nan")])
+                                         ("--min-duration", "-1"), ("--min-duration", "1e300"),
+                                         ("--min-duration", "1e10"), ("--density", "nan")])
 def test_bench_non_finite_exit_2(flag, value, capsys):
     code, out, err = run_cli(["bench", "--sizes", "8x8", "--min-steps", "1",
                               "--warmup", "0", flag, value], capsys)

@@ -6,7 +6,7 @@ from lifebench.bench import BenchSample
 from lifebench.energy import (DEFAULT_PROFILES, ComparisonRow, EnergyInputError,
                               NonpositivePower, PowerProfile, comparison_csv,
                               comparison_markdown, comparison_table, energy_per_step,
-                              format_energy)
+                              energy_ratio, format_energy)
 from lifebench.refdata import load_calibration, load_device_times, published_samples
 
 
@@ -51,6 +51,12 @@ def test_energy_out_of_float_range(watts, seconds):
 def test_energy_tiny_but_representable():
     assert energy_per_step(1e-300, 4.8e-9) > 0  # a subnormal product is kept
     assert energy_per_step(1e-320, 0.0) == 0.0  # zero time is zero energy
+
+
+def test_energy_ratio():
+    assert energy_ratio(0.7037696e-3, 96e-9) == 0.7037696e-3 / 96e-9
+    with pytest.raises(EnergyInputError, match="energy ratio is out of floating-point range"):
+        energy_ratio(1e300, 1e-300)
 
 
 def test_format_energy_units():
