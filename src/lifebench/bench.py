@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 from .engines import ENGINE_KINDS, make_engine
-from .grid import Rng, random_world
+from .grid import InputError, Rng, random_world
 
 CSV_HEADER = "width,height,cells,engine,steps,total_ns,ns_per_step"
 _COLUMN_TYPES = (int, int, int, str, int, int, float)
@@ -32,7 +32,7 @@ class ZeroDivisor(ZeroDivisionError):
     """Denominator of a ratio is zero (or not positive)."""
 
 
-class CsvSchemaError(ValueError):
+class CsvSchemaError(InputError):
     """CSV input does not match the benchmark sample schema."""
 
 
@@ -48,17 +48,17 @@ class BenchConfig:
 
     def validate(self) -> None:
         if not self.sizes:
-            raise ValueError("sizes must be nonempty")
+            raise InputError("sizes must be nonempty")
         if self.engine not in ENGINE_KINDS:
-            raise ValueError(f"unknown engine {self.engine!r}")
+            raise InputError(f"unknown engine {self.engine!r}")
         if self.min_steps < 1:
-            raise ValueError("min_steps must be >= 1")
+            raise InputError("min_steps must be >= 1")
         if not 0 <= self.min_duration * 1e9 < 2 ** 63:  # also rejects NaN; as in BenchSample
-            raise ValueError(f"min_duration must be in [0 s, 2**63 ns), got {self.min_duration}")
+            raise InputError(f"min_duration must be in [0 s, 2**63 ns), got {self.min_duration}")
         if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be >= 0")
+            raise InputError("warmup_steps must be >= 0")
         if not 0.0 <= self.density <= 1.0:  # also rejects NaN
-            raise ValueError(f"density must be in [0, 1], got {self.density}")
+            raise InputError(f"density must be in [0, 1], got {self.density}")
 
 
 @dataclass

@@ -1,8 +1,12 @@
 """Command-line interface: run patterns, benchmark engines, estimate FPGA
 resources/energy, and build comparison reports.
 
-Exit codes: 0 success, 1 environment or I/O failure, 2 usage or validation
-failure. Commands never touch the network.
+Exit codes: 0 success, 1 environment or I/O failure (OSError), 2 usage or
+validation failure. Commands raise; main() alone prints a failure as one
+"error: ..." line on stderr and picks the exit code, and "warning: ..."
+lines never change it. Every user-input error, argument errors included, is
+a lifebench.grid.InputError, which a library caller can catch. Commands never
+touch the network.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .engines import ENGINE_KINDS, run
-from .grid import PatternError, parse_pattern, serialize_pattern
+from .grid import InputError, parse_pattern, serialize_pattern
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -68,34 +72,54 @@ def parse_sizes(spec: str) -> tuple[tuple[int, int], ...]:
 
 
 def _nonneg_int(token: str) -> int:
-    value = int(token)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {token}")
+    try:
+        value = int(token)
+        if value < 0:
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {token!r}")
     return value
 
 
-def cmd_run(args) -> int:
+def _input_spec(token: str) -> tuple[str, str]:
+    """'[LABEL=]PATH' -> (LABEL, PATH); the label defaults to the file's stem."""
+    label, sep, path = token.partition("=")
+    if not sep:
+        label, path = Path(token).stem, token
+    if not label:
+        raise argparse.ArgumentTypeError(
+            f"expected --input [LABEL=]PATH with a nonempty label, got {token!r}")
+    return label, path
+
+
+def _power_spec(token: str) -> tuple[str, float]:
+    """'LABEL=WATTS' -> (LABEL, WATTS) with positive finite watts."""
+    label, sep, watts_s = token.partition("=")
     try:
-        text = Path(args.pattern).read_text("ascii")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        watts = float(watts_s)
+        if not (sep and label and math.isfinite(watts) and watts > 0):
+            raise ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected --power LABEL=WATTS with a nonempty label "
+                                         f"and positive finite watts, got {token!r}")
+    return label, watts
+
+
+def _read(path: str, parse, what: str):
+    """parse(the ASCII text of path); an InputError names the file."""
+    try:
+        return parse(Path(path).read_text("ascii"))
     except UnicodeDecodeError:
-        print(f"error: {args.pattern}: not an ASCII pattern file", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        world = parse_pattern(text)
-    except PatternError as exc:
-        print(f"error: {args.pattern}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    final = run(args.engine, world, args.steps)
+        raise InputError(f"{path}: not an ASCII {what} file") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def cmd_run(args) -> int:
+    final = run(args.engine, _read(args.pattern, parse_pattern, "pattern"), args.steps)
     out_text = serialize_pattern(final)
     if args.out:
-        try:
-            Path(args.out).write_text(out_text, encoding="ascii")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        Path(args.out).write_text(out_text, encoding="ascii")
     else:
         sys.stdout.write(out_text)
     return EXIT_OK
@@ -107,11 +131,7 @@ def cmd_bench(args) -> int:
                             min_steps=args.min_steps, min_duration=args.min_duration,
                             warmup_steps=args.warmup, seed=args.seed,
                             density=args.density)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg.validate()
     samples = bench.run_bench(cfg)
     for s in samples:
         print(f"{s.width}x{s.height} cells={s.cells} steps={s.steps} "
@@ -124,29 +144,21 @@ def cmd_bench(args) -> int:
         print("warning: need at least two distinct sizes for a trend line",
               file=sys.stderr)
     if args.csv:
-        try:
-            Path(args.csv).write_text(bench.samples_to_csv(samples), encoding="ascii")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        Path(args.csv).write_text(bench.samples_to_csv(samples), encoding="ascii")
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
     from .bench import speedup
-    from .energy import EnergyInputError, energy_per_step, energy_ratio, format_energy
-    from .refdata import OutOfRange, estimate_resources
+    from .energy import energy_per_step, energy_ratio, format_energy
+    from .refdata import estimate_resources
     width, height = args.size
-    try:
-        est = estimate_resources(width, height, extrapolate=args.extrapolate)
-        fpga_ns = est.min_clock_ns
-        fpga_energy = energy_per_step(args.power_fpga, fpga_ns * 1e-9)
-        if args.sw_ns_per_step is not None:
-            sw_energy = energy_per_step(args.power_sw, args.sw_ns_per_step * 1e-9)
-            ratio = energy_ratio(sw_energy, fpga_energy)
-    except (OutOfRange, EnergyInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    est = estimate_resources(width, height, extrapolate=args.extrapolate)
+    fpga_ns = est.min_clock_ns
+    fpga_energy = energy_per_step(args.power_fpga, fpga_ns * 1e-9)
+    if args.sw_ns_per_step is not None:
+        sw_energy = energy_per_step(args.power_sw, args.sw_ns_per_step * 1e-9)
+        ratio = energy_ratio(sw_energy, fpga_energy)
     print(f"size: {width}x{height} ({width * height} cells)")
     print(f"registers: {est.registers}")
     print(f"logic elements: {est.les}")
@@ -169,51 +181,14 @@ def cmd_report(args) -> int:
     device_samples = {}
     if args.published:
         device_samples.update(published_samples())
-    for item in args.input or []:
-        label, sep, path = item.partition("=")
-        if not sep:
-            label, path = Path(item).stem, item
-        if not label:
-            print(f"error: expected --input [LABEL=]PATH with a nonempty label, got {item!r}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            text = Path(path).read_text("ascii")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except UnicodeDecodeError:
-            print(f"error: {path}: not an ASCII CSV file", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            device_samples[label] = bench.read_csv(text)
-        except bench.CsvSchemaError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    for label, path in args.input or []:
+        device_samples[label] = _read(path, bench.read_csv, "CSV")
     if not device_samples:
-        print("error: no input samples (give --input or --published)", file=sys.stderr)
-        return EXIT_USAGE
-
+        raise InputError("no input samples (give --input or --published)")
     profiles = dict(DEFAULT_PROFILES)
-    for item in args.power or []:
-        label, sep, watts_s = item.partition("=")
-        try:
-            if not (sep and label):
-                raise ValueError
-            watts = float(watts_s)
-            if not (math.isfinite(watts) and watts > 0):
-                raise ValueError
-        except ValueError:
-            print(f"error: expected --power LABEL=WATTS with a nonempty label and positive "
-                  f"finite watts, got {item!r}", file=sys.stderr)
-            return EXIT_USAGE
+    for label, watts in args.power or []:
         profiles[label] = PowerProfile(label, watts, "command line")
-
-    try:
-        rows = comparison_table(device_samples, profiles=profiles)
-    except ValueError as exc:  # OutOfRange, EnergyInputError or the reserved label "fpga"
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = comparison_table(device_samples, profiles=profiles)
     sys.stdout.write(comparison_csv(rows) if args.format == "csv"
                      else comparison_markdown(rows))
 
@@ -223,18 +198,21 @@ def cmd_report(args) -> int:
             if fit is None:
                 print(f"warning: {device}: need at least two sizes for a trend line",
                       file=sys.stderr)
-            try:
-                Path(f"{args.plot_data}_{device}.csv").write_text(points, encoding="ascii")
-                if fit is not None:
-                    Path(f"{args.plot_data}_{device}_fit.csv").write_text(fit, encoding="ascii")
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_IO
+            Path(f"{args.plot_data}_{device}.csv").write_text(points, encoding="ascii")
+            if fit is not None:
+                Path(f"{args.plot_data}_{device}_fit.csv").write_text(fit, encoding="ascii")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises InputError, so main() reports it like any other."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lifebench",
         description="Game of Life engines, benchmarks, and FPGA estimates")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -272,22 +250,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("report", help="comparison tables and plot data from bench CSVs")
-    p.add_argument("--input", action="append", metavar="[LABEL=]PATH",
+    p.add_argument("--input", type=_input_spec, action="append", metavar="[LABEL=]PATH",
                    help="bench CSV for one device; repeatable")
     p.add_argument("--published", action="store_true",
                    help="include the packaged published device timings")
     p.add_argument("--format", choices=("md", "csv"), default="md")
     p.add_argument("--plot-data", metavar="PREFIX",
                    help="write PREFIX_<device>.csv plot-data files")
-    p.add_argument("--power", action="append", metavar="LABEL=WATTS",
+    p.add_argument("--power", type=_power_spec, action="append", metavar="LABEL=WATTS",
                    help="power profile for a device label; repeatable")
     p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except (OSError, InputError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, InputError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 
 from .bench import speedup
+from .grid import InputError
 from .refdata import fpga_time_model
 
 
-class EnergyInputError(ValueError):
+class EnergyInputError(InputError):
     """Power or time per step is not a usable number."""
 
 
@@ -98,7 +99,7 @@ def comparison_table(device_samples, profiles=None) -> list[ComparisonRow]:
     sizes = set()
     for device, samples in sorted(device_samples.items()):
         if device == "fpga":
-            raise ValueError("device name 'fpga' is reserved for the FPGA model")
+            raise InputError("device name 'fpga' is reserved for the FPGA model")
         profile = profiles.get(device)
         for s in samples:
             size = (s.width, s.height)

@@ -23,7 +23,11 @@ ALIVE_CHAR = "O"
 DEAD_CHAR = "."
 
 
-class PatternError(ValueError):
+class InputError(ValueError):
+    """Base class of every user-input error: the CLI exits 2 with its message."""
+
+
+class PatternError(InputError):
     """Base class for plaintext pattern parse failures."""
 
 

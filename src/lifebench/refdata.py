@@ -15,6 +15,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .bench import BenchSample
+from .grid import InputError
 
 # The calibration table's register counts exceed cells by exactly this
 # constant on every row. An artifact of the synthesized designs, not
@@ -22,7 +23,7 @@ from .bench import BenchSample
 REGISTER_OVERHEAD = 4
 
 
-class OutOfRange(ValueError):
+class OutOfRange(InputError):
     """Requested size falls outside the calibration table."""
 
 

@@ -50,13 +50,24 @@ def test_parse_sizes_ladder_and_list():
         parse_sizes("10x10..5x5:10")
 
 
-def test_bad_flags_exit_2(beacon_file):
+def test_bad_flags_exit_2(beacon_file, capsys):
+    """An argument error is one `error: ` line and exit 2, with no usage text."""
+    for argv in (["run", beacon_file, "--engine", "warp"], ["bench", "--sizes", "banana"], [],
+                 ["report", "--power", "=3"], ["run", beacon_file, "--steps", "x"],
+                 ["bench", "--min-steps", "-1"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    _, _, err = run_cli(["run", beacon_file, "--steps", "x"], capsys)
+    assert err == "error: argument --steps: expected a nonnegative integer, got 'x'\n"
+
+
+def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["run", beacon_file, "--engine", "warp"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--sizes", "banana"])
-    assert exc.value.code == 2
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: lifebench run ") and err == ""
 
 
 # ---------------------------------------------------------------------------
@@ -113,13 +124,15 @@ def test_run_missing_file_exit_1(capsys):
 _LOAD_PROBE = """
 import json, sys
 import lifebench, lifebench.cli
-code = lifebench.cli.main(["run", sys.argv[1], "--engine", "bitsliced", "--out", sys.argv[2]])
+codes = [lifebench.cli.main(["run", sys.argv[1], "--engine", "bitsliced", "--out", sys.argv[2]]),
+         lifebench.cli.main(["run", sys.argv[3]]),
+         lifebench.cli.main(["run", "p", "--engine", "warp"])]
 deferred = ("lifebench.bench", "lifebench.energy", "lifebench.refdata")
 loaded = [name for name in deferred if name in sys.modules]
 star = {}
 exec("from lifebench import *", star)
 print(json.dumps({
-    "code": code, "loaded": loaded,
+    "codes": codes, "loaded": loaded,
     "resolved": [lifebench.energy.__name__, lifebench.refdata.__name__,
                  lifebench.BenchConfig.__qualname__],
     "star": sorted(name for name in star if name != "__builtins__"),
@@ -130,14 +143,15 @@ print(json.dumps({
 
 def test_run_loads_no_bench_energy_or_refdata(tmp_path):
     """In a fresh interpreter, `run` leaves bench, energy and refdata unimported,
-    and each still resolves on first use."""
-    pattern, out = tmp_path / "block.txt", tmp_path / "out.txt"
+    on success and on error, and each still resolves on first use."""
+    pattern, out, ragged = tmp_path / "block.txt", tmp_path / "out.txt", tmp_path / "ragged.txt"
     pattern.write_text("OO\nOO\n")
+    ragged.write_text("OO\nO\n")
     env = {**os.environ, "PYTHONPATH": str(Path(lifebench.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, str(pattern), str(out)],
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, str(pattern), str(out), str(ragged)],
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(proc.stdout)
-    assert result["code"] == 0 and out.read_text() == "OO\nOO\n"
+    assert result["codes"] == [0, 2, 2] and out.read_text() == "OO\nOO\n"
     assert result["loaded"] == []
     assert result["resolved"] == ["lifebench.energy", "lifebench.refdata", "BenchConfig"]
     assert result["star"] == sorted(lifebench.__all__)
@@ -415,8 +429,7 @@ def test_report_ns_per_step_mismatch_exit_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# argument fuzzing: every input succeeds or fails cleanly (bench is left out,
-# as its default floors run for hours)
+# argument fuzzing: every input succeeds or fails cleanly
 # ---------------------------------------------------------------------------
 
 _NUMBER = st.one_of(st.sampled_from(["1e-320", "1e-300", "1e308", "0", "-0.0", "-1", "nan",
@@ -438,14 +451,17 @@ def _ns_per_step(total_ns, steps):
 
 
 def _assert_clean(argv):
+    """main(argv) returns 0, 1 or 2; a failure ends stderr with its one `error: ` line,
+    and exit 2 prints nothing else to stderr. Returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the arguments
-            code = exc.code
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    errors = [i for i, line in enumerate(lines) if line.startswith("error: ")]
     assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    assert errors == ([len(lines) - 1] if code else []), (argv, code, lines)
+    assert code != 2 or len(lines) == 1, (argv, lines)
+    return code
 
 
 # Values are passed as --flag=value, so that argparse never reads one as a flag.
@@ -482,3 +498,29 @@ def test_fuzz_run(pattern, engine, steps):
         path.write_text(pattern)
         _assert_clean(["run", str(path), f"--engine={engine}", f"--steps={steps}",
                        f"--out={tmp}/out.txt"])
+
+
+_BENCH_SIZES = st.one_of(
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)).map("{0[0]}x{0[1]}".format),
+             min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["2x2..12x12:5", "2x3..4x5", "5x5..2x2", "2x2..4x4:0", "2x2..x", "x", "",
+                     "0x3", "3x4,"]))
+# A valid large --min-duration would run for years: draw only tiny or invalid ones.
+_MIN_DURATION = st.one_of(st.floats(0, 1e-3).map(repr),
+                          st.sampled_from(["-1", "nan", "inf", "1e300", "x"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BENCH_SIZES, st.sampled_from(["reference", "bitsliced", "circuit", "warp"]),
+       st.sampled_from(["1", "3", "0", "-1", "x"]), st.sampled_from(["0", "2", "-1", "x"]),
+       _MIN_DURATION, st.one_of(st.floats(0, 1).map(repr), _NUMBER),
+       st.one_of(st.integers(-2 ** 70, 2 ** 70).map(str), st.just("x")), st.booleans())
+def test_fuzz_bench(sizes, engine, min_steps, warmup, min_duration, density, seed, missing_dir):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp, "missing" if missing_dir else "", "out.csv")
+        code = _assert_clean(["bench", f"--sizes={sizes}", f"--engine={engine}",
+                              f"--min-steps={min_steps}", f"--warmup={warmup}",
+                              f"--min-duration={min_duration}", f"--density={density}",
+                              f"--seed={seed}", f"--csv={csv_path}"])
+        assert code in ((1, 2) if missing_dir else (0, 2))
+        assert csv_path.exists() == (code == 0)
