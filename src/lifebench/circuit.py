@@ -16,6 +16,7 @@ planes (grid.Planes), 64 cells per ufunc call with no allocation.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from functools import cache, cached_property
 from types import MethodType
@@ -80,6 +81,84 @@ def _signal(src) -> tuple[str, int]:
     return src if isinstance(src, tuple) else (src, 0)
 
 
+def _pair_key(a, b):
+    """Inputs a and b as an unordered pair, up to a row offset that both read."""
+    if a[1] == b[1]:
+        a, b = a[0], b[0]
+    return (a, b) if a < b else (b, a)
+
+
+_HALF_ADDER = {XOR: AND, AND: XOR}  # a half adder's sum gate <-> its carry gate
+
+
+def _lower(table):
+    """The table as 2-input gates and NOTs, by the passes of Schedule.
+
+    A gate is (kind, inputs): kind AND, OR, XOR or NOT, and each input
+    (signal, row offset), the signal "self", "w", "e" or an earlier gate's
+    index. Returns the gates, dead ones among them, the index of the last
+    block's gate and the indexes of the MAJ3 carries.
+    """
+    table = [(name, kind, tuple(map(_signal, sources))) for name, kind, sources in table]
+    shifted = {s for _, _, sources in table for s, dy in sources if dy}
+    adders = {}  # a full adder's sum and carry are lowered one after the other
+    for block in table:
+        key = frozenset(block[2]) if block[1] in (XOR3, MAJ3) else block[0]
+        adders.setdefault(key, []).append(block)
+    pairs = collections.Counter(  # full adders per pair of inputs
+        _pair_key(a, b) for group in adders.values() if group[0][1] in (XOR3, MAJ3)
+        for a, b in itertools.combinations(group[0][2], 2))
+    # index: gates by (kind, *inputs) in both orders; half: a half adder's
+    # sum <-> its carry; ors, nots: the inputs of each OR and NOT
+    gates, index, half, ors, nots, carries = [], {}, {}, {}, {}, set()
+
+    def gate(kind, a, b=None, hoist=True, share=True, carry=False):
+        if hoist and a[1] and kind != NOT and b[1] == a[1]:
+            return gate(kind, (a[0], 0), (b[0], 0), carry=carry)[0], a[1]
+        if kind == OR and half.get(a) == b:  # (p ^ q) | (p & q) = p | q
+            return gate(OR, *gates[a[0]][1], hoist, share)
+        if kind == AND and (a in nots or b in nots):  # NOT(x | c) & s = NOT(x) & s
+            for n, s in ((a, b), (b, a)):
+                x, c = ors.get(nots.get(n), (None, None))
+                if x and half.get(s) in (x, c):
+                    return gate(AND, gate(NOT, c if half[s] == x else x), s, hoist, share)
+        g = index.get((kind, a, b)) if share else None
+        if g is None:
+            g = len(gates)
+            gates.append((kind, (a, b) if b else (a,)))
+            if share:
+                index[kind, a, b] = index[kind, b, a] = g
+            if carry:
+                carries.add(g)
+            if kind == OR:
+                ors[g, 0] = a, b
+            elif kind == NOT:
+                nots[g, 0] = a
+            elif (_HALF_ADDER[kind], a, b) in index:
+                h = index[_HALF_ADDER[kind], a, b]
+                half[g, 0], half[h, 0] = (h, 0), (g, 0)
+        return g, 0
+
+    value = {s: (s, 0) for s in ("self", "w", "e")}
+    for name, kind, sources in itertools.chain(*adders.values()):
+        args = [(value[s][0], value[s][1] + dy) for s, dy in sources]
+        last = name == table[-1][0]
+        hoist, share = not (last or name in shifted), not last
+        if kind in (XOR3, MAJ3):  # the pair that the most full adders read first
+            i, j, k = max(((0, 1, 2), (0, 2, 1), (1, 2, 0)),
+                          key=lambda ijk: pairs[_pair_key(sources[ijk[0]], sources[ijk[1]])])
+            a, b, c = args[i], args[j], args[k]
+            t = gate(XOR, a, b)
+            if kind == XOR3:
+                value[name] = gate(XOR, t, c, hoist, share)
+            else:
+                tc = gate(AND, t, c)
+                value[name] = gate(OR, gate(AND, a, b), tc, hoist, share, carry=True)
+        else:
+            value[name] = gate(kind, *args, hoist=hoist, share=share)
+    return gates, value[table[-1][0]][0], carries
+
+
 class Schedule:
     """A cell table compiled into the gate steps of one tick, for any size.
 
@@ -91,83 +170,98 @@ class Schedule:
     int_max_bits is the largest board, height * (width + 1) bits, that
     evaluator() runs as one int.
 
+    The table is first synthesized into 2-input gates and NOTs (_lower),
+    a full adder's sum and carry one after the other. An XOR3/MAJ3 over
+    a, b and c is t = a ^ b, sum t ^ c and carry (a & b) | (t & c), a and
+    b the pair of its inputs that the most full adders of the table read
+    (a pair read at one row offset counts as that pair at row 0, and the
+    first pair wins a tie). Each pass is a bitwise identity, so every bit
+    that the tick computes is one that the table defines:
+
+    * Row hoisting. An AND, OR or XOR whose inputs all read one row
+      offset dy is computed at row 0 and read at dy: a row shifted in
+      reads 0, and so does the gate over 0s. The masked NOT (below) is
+      never hoisted, nor is the last block or a block read at an offset.
+    * Hashing. A gate of the kind and inputs of an earlier one is that
+      gate. So the cell table's full adder over NW, N and NE, hoisted to
+      the adder over w, self and e one row up, shares w ^ e and w & e
+      with the adder over w, e and SW.
+    * Half-adder identities. For a half adder's sum s = a ^ b and carry
+      c = a & b, s | c = a | b, and NOT(x | c) & s = NOT(x) & s since
+      c & s = 0, with the masked NOT too, on the cells and off them.
+      Gates that the last block no longer reads are dropped.
+
     A signal read at a row offset lives in a bordered row plane (k, 0) and
     is read as (k, dy); row plane 0 is the registers. Any other signal
-    lives in flat plane k or in a dead signal's row plane. A step is
+    lives in flat plane k or in a dead signal's plane. A step is
     (ufunc, (a, b, out)) over these planes and "mask". w and e, the
     registers shifted by the evaluator before the steps, are signals too;
-    carry is a flat plane free while those shifts run. Three passes:
+    carry is a flat plane free while those shifts run.
 
-    * Shared XOR. An XOR3/MAJ3 pair with the same first two inputs
-      computes t = a ^ b once: sum = t ^ c, carry = (a & b) | (t & c).
-      The carry half is t's last reader in the table, so t & c is
-      computed in place.
-    * Plane liveness. Each block's output plane is taken from a free list,
-      and goes back to it after the block's last reader. A block reads all
-      its inputs before its first write to its output, so the output may
-      reuse the plane of an input that dies there, unless it reads that
-      input at a row offset.
-    * Masked NOT. NOT is x ^ mask, with mask 1 on the cells alone, so a
-      table whose last block is is23 & (bit0 | self), with is23 = lt4 &
-      bit1 and lt4 the NOT of a signal g that, given bit1, is count >= 4,
-      writes it straight into the registers, as both tables do. Off the
-      cells, where the registers and mask are 0, that block is g & bit1 &
-      bit0: a count of 7. No bit there sees more than six cells (a guard
-      bit, of an int or of a plane, at most the last column of rows y - 1
-      to y + 1 and the first column of rows y to y + 2), so the registers
-      stay 0 off the cells.
+    * Plane liveness. Each gate's output plane is taken from a free list,
+      a row plane for a signal read at an offset, and goes back to it
+      after the gate's last reader. A step reads its inputs before it
+      writes its output, so the output may reuse the plane of an input
+      that dies there, unless it reads that input at a row offset; a MAJ3
+      carry is accumulated in the plane of a & b.
+    * Masked NOT. NOT is x ^ mask, with mask 1 on the cells alone. Both
+      tables end in is23 & (bit0 | self), is23 = lt4 & bit1, which their
+      schedules compute as NOT(g) & bit1 with g the twos column's carry:
+      the bit-sliced table's c2, and the circuit's twos_c, to which the
+      identities reduce its lt4 = NOT(bit3 | bit2). Given bit1, g is
+      count >= 4, and the last block goes straight into the registers.
+      Off the cells, where the registers and mask are 0, it is g & bit1 &
+      bit0: a count of at least 7. No bit there sees more than six cells
+      (a guard bit, of an int or of a plane, at most the last column of
+      rows y - 1 to y + 1 and the first column of rows y to y + 2), so
+      the registers stay 0 off the cells.
     """
 
     def __init__(self, table, int_max_bits: int):
         self.int_max_bits = int_max_bits
-        table = [(name, kind, tuple(map(_signal, sources))) for name, kind, sources in table]
-        rows = {s for _, _, sources in table for s, dy in sources if dy}
-        last = {}  # signal, or the (a, b) of a shared XOR, -> index of its last reader
-        for i, (_, kind, sources) in enumerate(table):
-            last.update((s, i) for s, _ in sources)
-            if kind in (XOR3, MAJ3):
-                last[sources[:2]] = i
+        gates, final, carries = _lower(table)
+        live, read, rows, shifted = [], {"self", final}, set(), set()
+        for g in range(final, -1, -1):  # the live gates and their dying inputs, last first
+            if g in read:
+                dying = []
+                for s, dy in gates[g][1]:
+                    if s not in read:
+                        read.add(s)
+                        dying.append(s)
+                    if dy:
+                        rows.add(s)
+                        shifted.add((s, dy))
+                # a carry frees a & b last, so that it takes a & b's plane
+                live.append((g, dying[::-1] if g in carries else dying))
         row_planes, fresh, free = itertools.count(1), itertools.count(), []
 
-        def take(name=None):
-            if name in rows:
-                return next(row_planes), 0
-            return free.pop() if free else next(fresh)
+        def take(signal=None):
+            if signal not in rows:
+                return free.pop() if free else next(fresh)
+            dead_rows = [p for p in free if isinstance(p, tuple)]
+            if dead_rows:
+                free.remove(dead_rows[-1])
+                return dead_rows[-1]
+            return next(row_planes), 0
 
         value = {"self": (0, 0), "w": take("w"), "e": take("e")}
         self.west, self.east, self.carry = value["w"], value["e"], take()
         free.append(self.carry)
         steps = []
-        for i, (name, kind, sources) in enumerate(table):
-            a, *rest = ((value[s][0], dy) if dy else value[s] for s, dy in sources)
-            if kind in (XOR3, MAJ3):
-                pair = sources[:2]
-                if pair not in value:
-                    value[pair] = take()
-                    steps.append((np.bitwise_xor, (a, rest[0], value[pair])))
-                t = value[pair]
-            names = dict.fromkeys(s for s, _ in sources)
-            dead = [s for s in names if last[s] == i and s != "self"]
-            offset = {s for s, dy in sources if dy}  # out on these, numpy would copy
-            free += [value.pop(s) for s in dead if s not in offset]
-            out = (0, 0) if i == len(table) - 1 else take(name)
-            free += [value.pop(s) for s in dead if s in offset]
+        for g, dying in reversed(live):
+            kind, args = gates[g]
+            planes = [(value[s][0], dy) if dy else value[s] for s, dy in args]
+            offset = [s for s, dy in args if dy]  # out on these, numpy would copy
+            free += [value.pop(s) for s in dying if s not in offset]
+            out = (0, 0) if g == final else take(g)
+            free += [value.pop(s) for s in dying if s in offset]
             if kind == NOT:
-                steps.append((np.bitwise_xor, (a, "mask", out)))
-            elif kind == XOR3:
-                steps.append((np.bitwise_xor, (t, rest[1], out)))
-            elif kind == MAJ3:
-                b, c = rest
-                steps += [(np.bitwise_and, (t, c, t)), (np.bitwise_and, (a, b, out)),
-                          (np.bitwise_or, (out, t, out))]
+                steps.append((np.bitwise_xor, (*planes, "mask", out)))
             else:
-                steps.append((_BINARY_UFUNCS[kind], (a, *rest, out)))
-            if kind in (XOR3, MAJ3) and last[pair] == i:
-                free.append(value.pop(pair))
-            value[name] = out
+                steps.append((_BINARY_UFUNCS[kind], (*planes, out)))
+            value[g] = out
         self.steps = steps
         self.n_rows, self.n_flat = next(row_planes), next(fresh)
-        shifted = {src for _, _, sources in table for src in sources if src[1]}
         self.int_ops = 2 + len(shifted) + len(steps)  # w, e, row shifts, gates
 
     @cached_property
@@ -180,7 +274,10 @@ class Schedule:
         generation, so that a tick is one Python frame. Flat plane k is the
         local pk and row plane k rk; rk read one row up is rk_n = rk <<
         stride and one row down rk_s = rk >> stride, each made before its
-        first read. Bits shifted in are 0, the dead boundary.
+        first read since rk was last written. Bits shifted in are 0, the
+        dead boundary. Unlike a plane, an int has bits past its last row: a
+        read one row up moves the last row there, so a value made from one
+        is masked to the board before it is read one row down.
         """
         def local(arg):
             if isinstance(arg, int):
@@ -189,14 +286,26 @@ class Schedule:
 
         lines = ["def tick(ev):", "r0, stride, mask = ev._r, ev._stride, ev._mask",
                  f"{local(self.west)} = r0 << 1", f"{local(self.east)} = r0 >> 1"]
-        made = set()
+        made, past = set(), set()  # past: the locals that may hold bits past the last row
         for ufunc, args in self.steps:
             for arg in args:
                 if isinstance(arg, tuple) and arg[1] and arg not in made:
                     made.add(arg)
-                    lines.append(f"{local(arg)} = r{arg[0]} {'<<' if arg[1] < 0 else '>>'} stride")
+                    k = f"r{arg[0]}"
+                    if arg[1] < 0:
+                        lines.append(f"{k}_n = {k} << stride")
+                    else:
+                        lines.append(f"{k}_s = {f'({k} & board)' if k in past else k} >> stride")
             a, b, out = map(local, args)
             lines.append(f"{out} = {a} {_SYMBOLS[ufunc]} {b}")
+            if isinstance(args[2], tuple):  # a row plane written anew is shifted anew
+                made -= {(args[2][0], -1), (args[2][0], 1)}
+            if a.endswith("_n") or b.endswith("_n") or {a, b} & past:
+                past.add(out)
+            else:
+                past.discard(out)
+        if any("board" in line for line in lines):
+            lines.insert(2, "board = (1 << ev._height * stride) - 1")
         scope = {}
         source = "\n    ".join([*lines, "ev._r = r0", "ev.generation += 1\n"])
         exec(compile(source, "<int tick>", "exec"), scope)
@@ -205,12 +314,14 @@ class Schedule:
 
 # Largest board, height * (width + 1) bits, that the cell table ticks as
 # one int: an int op's cost grows with the board, a ufunc call's barely up
-# to 100x100. Per-tick time, int / planes, median of 11 interleaved rounds
-# on a 2-vCPU Xeon, Python 3.11, numpy 2.4 (BENCH_gate_tables.json):
-#   100x100   7 / 17 us    200x200  20 / 24 us    225x225  24 / 26 us
-#   230x230  25 / 25 us    235x235  26 / 26 us    300x300  42 / 34 us
-# Over six runs the planes first won at 230x230 (53,130 bits) once and at
-# 235x235 in the others; 3 << 14 bits (about 221x221) stays below both.
+# to 100x100. Per-tick time, int / planes, median of three runs of 11
+# interleaved rounds on a 2-vCPU Xeon, Python 3.11, numpy 2.4
+# (BENCH_circuit_synth.json):
+#   100x100   8 / 16 us    210x210  20 / 25 us    220x220  23 / 23 us
+#   225x225  24 / 23 us    230x230  27 / 29 us    300x300  44 / 29 us
+# The int tick won 29 of the 33 rounds at 210x210, 17 at 220x220 and at
+# 225x225, and 9 at 230x230, so 3 << 14 bits (about 221x221) still sits
+# at the crossover.
 _INT_TICK_MAX_BITS = 3 << 14
 
 _CELL = Schedule(_BLOCKS, _INT_TICK_MAX_BITS)

@@ -12,6 +12,7 @@ touch the network.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -132,19 +133,21 @@ def cmd_bench(args) -> int:
                             warmup_steps=args.warmup, seed=args.seed,
                             density=args.density)
     cfg.validate()
-    samples = bench.run_bench(cfg)
-    for s in samples:
-        print(f"{s.width}x{s.height} cells={s.cells} steps={s.steps} "
-              f"ns/step={s.ns_per_step:.3f}")
-    if len({s.cells for s in samples}) >= 2:
-        fit = bench.linear_fit((s.cells, s.ns_per_step) for s in samples)
-        print(f"fit: slope={fit.slope:.6g} ns/cell intercept={fit.intercept:.6g} ns "
-              f"r2={fit.r_squared:.6f}")
-    else:
-        print("warning: need at least two distinct sizes for a trend line",
-              file=sys.stderr)
-    if args.csv:
-        Path(args.csv).write_text(bench.samples_to_csv(samples), encoding="ascii")
+    # The CSV is opened before anything is timed, so that a bad path fails at once.
+    with open(args.csv, "w", encoding="ascii") if args.csv else contextlib.nullcontext() as csv:
+        samples = bench.run_bench(cfg)
+        for s in samples:
+            print(f"{s.width}x{s.height} cells={s.cells} steps={s.steps} "
+                  f"ns/step={s.ns_per_step:.3f}")
+        if len({s.cells for s in samples}) >= 2:
+            fit = bench.linear_fit((s.cells, s.ns_per_step) for s in samples)
+            print(f"fit: slope={fit.slope:.6g} ns/cell intercept={fit.intercept:.6g} ns "
+                  f"r2={fit.r_squared:.6f}")
+        else:
+            print("warning: need at least two distinct sizes for a trend line",
+                  file=sys.stderr)
+        if csv:
+            csv.write(bench.samples_to_csv(samples))
     return EXIT_OK
 
 
@@ -189,6 +192,9 @@ def cmd_report(args) -> int:
     for label, watts in args.power or []:
         profiles[label] = PowerProfile(label, watts, "command line")
     rows = comparison_table(device_samples, profiles=profiles)
+    plot_dir = Path(f"{args.plot_data}_").parent if args.plot_data else None
+    if plot_dir and not plot_dir.is_dir():  # fail before the table is printed
+        raise FileNotFoundError(f"no such directory: {plot_dir}")
     sys.stdout.write(comparison_csv(rows) if args.format == "csv"
                      else comparison_markdown(rows))
 

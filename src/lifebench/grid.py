@@ -270,7 +270,8 @@ class Planes:
         bits shifted in are 0. carry is a plane that is free while they run.
         """
         regs = self.row(0)
-        one, top = np.uint64(1), np.uint64(63)
+        # 0-d arrays: numpy converts a scalar shift count on every call
+        one, top = np.array(1, dtype=np.uint64), np.array(63, dtype=np.uint64)
         ops = [(np.left_shift, (regs, one, west)),
                (np.right_shift, (regs, one, east))]
         if self.width > 64:  # carry the bit that crosses each word boundary

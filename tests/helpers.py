@@ -3,8 +3,8 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from lifebench.circuit import _BLOCKS, AND, CONST0, NOT, OR, XOR, XOR3, _signal
-from lifebench.grid import MASK64, Rng, World, cells
+from lifebench.circuit import _BLOCKS, AND, CONST0, MAJ3, NOT, OR, XOR, XOR3, _signal
+from lifebench.grid import MASK64, Rng, World, cells, from_cells
 
 # Two phases of the beacon oscillator (period 2).
 BEACON_A = (
@@ -176,6 +176,30 @@ def crop(world, margin):
 
 
 _DX = {"w": -1, "self": 0, "e": 1}  # the register column each of these reads
+
+
+def table_step(table, world):
+    """One tick of a circuit.Schedule cell table, block by block over bool arrays.
+
+    Independent of the compiler: each block is evaluated as written on the
+    (height, width) cells, an input read at (dx, dy) taking the value at
+    (x + dx, y + dy) and 0 outside the grid, NOT the complement on the cells.
+    The last block is the next state.
+    """
+    alive = cells(world).astype(bool)
+    h, w = alive.shape
+    values = {"self": np.pad(alive, 1)}
+    ops = {AND: lambda a, b: a & b, OR: lambda a, b: a | b, XOR: lambda a, b: a ^ b,
+           NOT: lambda a: ~a, XOR3: lambda a, b, c: a ^ b ^ c,
+           MAJ3: lambda a, b, c: (a & b) | (a & c) | (b & c)}
+    for name, kind, sources in table:
+        args = []
+        for src, dy in map(_signal, sources):
+            dx = _DX.get(src, 0)
+            base = values["self" if src in _DX else src]
+            args.append(base[1 + dy:1 + dy + h, 1 + dx:1 + dx + w])
+        values[name] = np.pad(ops[kind](*args), 1)
+    return from_cells(values[table[-1][0]][1:-1, 1:-1], world.generation + 1)
 
 
 def node_graph(netlist):

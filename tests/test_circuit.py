@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (BEACON_A, BEACON_B, bit_rows, cells_of, naive_step, neighbourhood_world,
-                     next_cell_state, node_graph, tick_in_order, world_from_rows)
-from lifebench.circuit import (_CELL, _INT_TICK_MAX_BITS, CONST0, KIND_NAMES, SizeMismatch,
+                     next_cell_state, node_graph, table_step, tick_in_order, world_from_rows)
+from lifebench.circuit import (_BLOCKS, _CELL, _INT_TICK_MAX_BITS, _SYMBOLS, AND, CONST0,
+                              KIND_NAMES, MAJ3, NOT, OR, XOR, XOR3, Schedule, SizeMismatch,
                               _IntTick, _PlaneTick, count_resources, elaborate, evaluator)
-from lifebench.engines import _INT_STEP_MAX_BITS, _SCHEDULE, CircuitEngine, run
+from lifebench.engines import _INT_STEP_MAX_BITS, _SCHEDULE, _TABLE, CircuitEngine, run
 from lifebench.grid import World, parse_pattern, population, random_world
 from lifebench.refdata import (REGISTER_OVERHEAD, CalibrationTable, CalRow, OutOfRange,
                                estimate_resources, fpga_time_model, load_calibration)
@@ -192,36 +193,142 @@ def test_describe_pinned():
             if name != "REG":
                 assert np.count_nonzero(kinds == KIND_NAMES.index(name)) == count
         assert info["depth"] == 8 == comb_level(n).max()
-        # 8 neighbor shifts, 4 pairs of XOR3/MAJ3 at 5 ops each and 11
-        # other gates, whatever the width
-        assert (info["evaluator"], info["ops_per_tick"], info["plane_bytes"]) == ("int", 39, 0)
-    # On planes: 2 shifts, the same 31 gate steps, plus 4 carry ops when a
+        # The w and e shifts, 5 row shifts and 25 gates, whatever the width
+        assert (info["evaluator"], info["ops_per_tick"], info["plane_bytes"]) == ("int", 32, 0)
+    # On planes: 2 shifts, the same 25 gate steps, plus 4 carry ops when a
     # row spans more than one word.
     for width in (1, 64):
         info = elaborate(width, tall(width)).describe()
-        assert (info["evaluator"], info["ops_per_tick"]) == ("planes", 33)
+        assert (info["evaluator"], info["ops_per_tick"]) == ("planes", 27)
     for width in (65, 1000):
         info = elaborate(width, tall(width)).describe()
-        assert (info["evaluator"], info["ops_per_tick"]) == ("planes", 37)
+        assert (info["evaluator"], info["ops_per_tick"]) == ("planes", 31)
     plane = 1000 * 16 * 8  # one uint64 plane of a 1000x1000 world
     assert elaborate(1000, 1000).describe()["plane_bytes"] <= 10 * plane
 
 
+# engines._SCHEDULE's steps as (operator, (a, b, out)), pinned from the
+# compiler before row hoisting, hashing and the half-adder identities: none
+# of them applies to the bit-sliced table, so its step must not move.
+BITSLICED_STEPS = (
+    ("^", (0, 1, 2)), ("&", (0, 1, 1)), ("^", (2, (0, 0), (1, 0))), ("&", (2, (0, 0), 0)),
+    ("|", (1, 0, (2, 0))), ("^", ((1, -1), 2, 0)), ("^", (0, (1, 1), 3)),
+    ("&", (0, (1, 1), 0)), ("&", ((1, -1), 2, 2)), ("|", (2, 0, 2)), ("^", ((2, -1), 1, 0)),
+    ("^", (0, (2, 1), (1, 0))), ("&", (0, (2, 1), 0)), ("&", ((2, -1), 1, 1)),
+    ("|", (1, 0, 1)), ("^", ((1, 0), 2, 2)), ("^", (1, "mask", 1)), ("&", (1, 2, 2)),
+    ("|", (3, (0, 0), 3)), ("&", (2, 3, (0, 0))),
+)
+
+
 def test_schedules_pinned():
-    # The cell table: 31 gate steps on the registers and w and e as row
-    # planes, and 6 flat planes; once w and e are dead, their row planes
-    # hold gate values too. The bit-sliced table: 20 gate steps on row
+    # The cell table: 25 gate steps, on row planes for the registers, w,
+    # the two sums and carries of the row above (the hoisted full adder)
+    # and of the row below (the hoisted half adder; the sum takes w's
+    # plane), and 4 flat planes. As ints it makes the w and e shifts, 5 row
+    # shifts and the 25 gates. The bit-sliced table: 20 gate steps on row
     # planes for the registers, ts and tc, and 4 flat planes, w and e
     # among them. As ints it makes 2 register shifts, 4 row shifts and the
     # 20 gates; on planes 2 shifts (6 with the carries of rows of more than
     # one word) and the 20 gates.
-    assert (len(_CELL.steps), _CELL.n_rows, _CELL.n_flat) == (31, 3, 6)
+    assert (len(_CELL.steps), _CELL.n_rows, _CELL.n_flat, _CELL.int_ops) == (25, 5, 4, 32)
+    assert [(_SYMBOLS[ufunc], args) for ufunc, args in _SCHEDULE.steps] == list(BITSLICED_STEPS)
+    assert (_SCHEDULE.west, _SCHEDULE.east, _SCHEDULE.carry) == (0, 1, 2)
     assert (len(_SCHEDULE.steps), _SCHEDULE.n_rows, _SCHEDULE.n_flat) == (20, 3, 4)
     for width, ops in ((1, 22), (64, 22), (65, 26), (1000, 26)):
         small = evaluator(_SCHEDULE, width, 3)
         assert (small.name, small.ops_per_tick, small.plane_bytes) == ("int", 26, 0)
         big = evaluator(_SCHEDULE, width, _INT_STEP_MAX_BITS // (width + 1) + 1)
         assert (big.name, big.ops_per_tick) == ("planes", ops)
+
+
+def on_cells(*blocks):
+    """The blocks, then next: the last one's value on the cells and 0 off
+    them, as a register's D input must be, with no cell's value masked."""
+    return (*blocks, ("ns", NOT, ("self",)), ("cells", OR, ("self", "ns")),
+            ("next", AND, (blocks[-1][0], "cells")))
+
+
+def assert_ticks_like_table(table, schedule):
+    # Both evaluators of the compiled table, three ticks from random worlds
+    # of one and of several words a row, against the table read block by block.
+    for width, height, seed in ((5, 4, 1), (64, 3, 2), (70, 5, 3), (130, 2, 4)):
+        world = random_world(width, height, 0.5, seed)
+        for cls in (_IntTick, _PlaneTick):
+            ev, expected = cls(schedule, width, height), world
+            ev.load(world)
+            for _ in range(3):
+                ev.tick()
+                expected = table_step(table, expected)
+                assert ev.world() == expected, (cls.name, width, height)
+
+
+def test_hoisting_stops_at_the_not():
+    # w & e one row down is computed at row 0 and read one row down; the
+    # masked NOT of e one row down reads e there itself. Hoisted, the NOT
+    # would read 0 below the last row, where NOT(0) is 1.
+    table = on_cells(("a", AND, (("w", 1), ("e", 1))), ("n", NOT, (("e", 1),)),
+                     ("x", OR, ("a", "n")))
+    schedule = Schedule(table, 1)
+    (_, hoisted), (_, negated), (_, joined), *_ = schedule.steps
+    assert isinstance(schedule.east, tuple) and hoisted[:2] == (schedule.west, schedule.east)
+    assert negated[:2] == ((schedule.east[0], 1), "mask")
+    assert joined[0] == (hoisted[2][0], 1)
+    assert_ticks_like_table(table, schedule)
+
+
+def test_hashing_shares_a_gate():
+    # a, b and u one row down are one gate: w & e, computed once.
+    table = on_cells(("a", AND, ("w", "e")), ("b", AND, ("e", "w")),
+                     ("u", AND, (("w", -1), ("e", -1))), ("x", XOR, ("b", "u")))
+    schedule = Schedule(table, 1)
+    assert len(schedule.steps) == 5  # w & e, x and the 3 gates of on_cells
+    (_, shared), (ufunc, (b, u, _)), *_ = schedule.steps
+    assert (ufunc, b, u) == (np.bitwise_xor, shared[2], (shared[2][0], -1))
+    assert_ticks_like_table(table, schedule)
+
+
+@pytest.mark.parametrize("carry, steps", [("c", 11), ("d", 13)], ids=["its-carry", "other-carry"])
+def test_identities_need_a_half_adder(carry, steps):
+    # s, c and t, d are the half adders of w + e and of e + self. With c,
+    # s's own carry, s | c is w | e and NOT(self | c) & s is NOT(self) & s:
+    # c, its OR and that NOT are dropped, and NOT(self) is on_cells' own.
+    # With d, neither identity holds.
+    table = on_cells(("s", XOR, ("w", "e")), ("c", AND, ("w", "e")), ("t", XOR, ("e", "self")),
+                     ("d", AND, ("e", "self")), ("k", XOR, ("t", "d")), ("o", OR, ("s", carry)),
+                     ("g", OR, ("self", carry)), ("n", NOT, ("g",)), ("m", AND, ("n", "s")),
+                     ("x", XOR, ("o", "m")), ("y", XOR, ("x", "k")))
+    schedule = Schedule(table, 1)
+    assert len(schedule.steps) == steps
+    assert_ticks_like_table(table, schedule)
+
+
+_ARITY = {AND: 2, OR: 2, XOR: 2, NOT: 1, XOR3: 3, MAJ3: 3}
+
+
+@st.composite
+def cell_tables(draw):
+    """Tables of up to 8 random blocks over the registers and earlier
+    blocks, each input read in its own row or one row up or down."""
+    names, blocks = ["self", "w", "e"], []
+    for i in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(sorted(_ARITY)))
+        sources = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from([0, -1, 1])),
+                                min_size=_ARITY[kind], max_size=_ARITY[kind]))
+        blocks.append((f"b{i}", kind, tuple((src, dy) if dy else src for src, dy in sources)))
+        names.append(f"b{i}")
+    return on_cells(*blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=cell_tables())
+def test_any_table_ticks_like_its_blocks(table):
+    assert_ticks_like_table(table, Schedule(table, 1))
+
+
+def test_cell_table_compiles_to_its_blocks():
+    # The passes change the gates, not what the cell table computes.
+    assert_ticks_like_table(_BLOCKS, _CELL)
+    assert_ticks_like_table(_TABLE, _SCHEDULE)
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 200])

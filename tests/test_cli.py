@@ -207,6 +207,15 @@ def test_bench_two_sizes_prints_fit(capsys):
     assert "fit: slope=" in out
 
 
+def test_bench_csv_in_missing_dir_fails_before_timing(tmp_path, capsys, monkeypatch):
+    from lifebench import bench
+    monkeypatch.setattr(bench, "run_bench", lambda cfg: pytest.fail("timed before --csv opened"))
+    code, out, err = run_cli(["bench", "--sizes", "4x4", "--min-steps", "1", "--warmup", "0",
+                              "--csv", str(tmp_path / "nodir" / "b.csv")], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "nodir" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--min-duration", "nan"), ("--min-duration", "inf"),
                                          ("--min-duration", "-1"), ("--min-duration", "1e300"),
                                          ("--min-duration", "1e10"), ("--density", "nan")])
@@ -344,6 +353,15 @@ def test_report_single_row_warns_no_fit(tmp_path, capsys):
     assert "trend line" in err
     assert (tmp_path / "p_one.csv").exists()
     assert not (tmp_path / "p_one_fit.csv").exists()
+
+
+def test_report_plot_data_in_missing_dir_fails_before_the_table(tmp_path, capsys):
+    path = bench_csv(tmp_path, "dev.csv", [(10, 10, 100, 250_000), (20, 20, 100, 900_000)])
+    code, out, err = run_cli(["report", "--input", f"lab={path}",
+                              "--plot-data", str(tmp_path / "nodir" / "p")], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "nodir" in err
+    assert not any(tmp_path.glob("**/p_*"))
 
 
 def test_report_schema_mismatch_exit_2(tmp_path, capsys):
