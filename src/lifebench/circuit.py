@@ -8,10 +8,13 @@ for every neighbor input that would fall outside it. The whole world
 updates on every clock tick. A Schedule compiles such a table the way
 synthesis would; the bit-sliced engine's adder chain is a second table,
 compiled the same way. evaluator() binds a schedule to one world size,
-which picks how it runs: a small world is one Python int in the
-grid.board layout, ticked by one straight-line function generated from
-the schedule, with no dispatch per op; a larger one is bit-packed uint64
-planes (grid.Planes), 64 cells per ufunc call with no allocation.
+which picks how it runs: a small world is one Python int, a board
+(_IntTick), ticked by one straight-line function generated from the
+schedule, with no dispatch per op; a larger one is bit-packed uint64
+planes (_PlaneTick), 64 cells per ufunc call with no allocation. Each
+evaluator holds its register layout and its World codec, load() and
+world(), so this module decides both layouts, beside the Schedule that
+numbers the planes.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from types import MethodType
 
 import numpy as np
 
-from .grid import Planes, World, board, from_board, full_board
+from .grid import MASK64, World, from_cells
 
 # Node kind codes. XOR3/MAJ3 are the sum and carry halves of a full-adder
 # stage; everything else is an ordinary 1- or 2-input gate.
@@ -191,10 +194,11 @@ class Schedule:
       c & s = 0, with the masked NOT too, on the cells and off them.
       Gates that the last block no longer reads are dropped.
 
-    A signal read at a row offset lives in a bordered row plane (k, 0) and
-    is read as (k, dy); row plane 0 is the registers. Any other signal
-    lives in flat plane k or in a dead signal's plane. A step is
-    (ufunc, (a, b, out)) over these planes and "mask". w and e, the
+    A signal read at a row offset lives in row plane (k, 0) and is read
+    one row up or down as (k, dy); row plane 0 is the registers. Any other
+    signal lives in flat plane k or in a dead signal's plane. A step is
+    (ufunc, (a, b, out)) over these planes and "mask"; n_rows and n_flat
+    count the planes, and each evaluator lays them out. w and e, the
     registers shifted by the evaluator before the steps, are signals too;
     carry is a flat plane free while those shifts run.
 
@@ -331,7 +335,7 @@ def evaluator(schedule: Schedule, width: int, height: int):
     """The schedule bound to a width x height world, on ints or on planes.
 
     A board of at most schedule.int_max_bits bits ticks as one Python int
-    (_IntTick), a larger one on grid.Planes (_PlaneTick). Either has
+    (_IntTick), a larger one on uint64 planes (_PlaneTick). Either has
     load(world), tick(), world() and generation, the loaded world's
     generation plus the ticks since, and reports its name, ops_per_tick
     and plane_bytes.
@@ -341,11 +345,14 @@ def evaluator(schedule: Schedule, width: int, height: int):
 
 
 class _IntTick:
-    """The registers as one int, a grid.board; tick() is Schedule.int_tick.
+    """The registers as one int, a board, and Schedule.int_tick over it.
 
-    The mask is the all-cells board; the bits off it are the guard bits
-    and the bits past the last row. A tick is one call, with no dispatch
-    per gate step, but CPython still allocates an int per op.
+    A board holds cell (x, y) at bit y * (width + 1) + x. The guard bit x =
+    width of each row is 0, so a shift by one never carries a cell into
+    the next row; load() takes the guard bits from the World's zero padding
+    bits. The mask is the all-cells board, 0 on the guard bits and past the
+    last row. A tick is one call, with no dispatch per gate step, but
+    CPython still allocates an int per op.
     """
 
     name = "int"
@@ -353,51 +360,113 @@ class _IntTick:
 
     def __init__(self, schedule: Schedule, width: int, height: int):
         self._width, self._height, self._stride = width, height, width + 1
-        self._mask = full_board(width, height)
+        mask, rows = (1 << width) - 1, 1
+        while rows < height:  # double the rows that are set
+            mask |= mask << (rows * self._stride)
+            rows *= 2
+        self._mask = mask & ((1 << (height * self._stride)) - 1)
         self.tick = MethodType(schedule.int_tick, self)
         self.ops_per_tick = schedule.int_ops
 
     def load(self, world: World) -> None:
-        self._r = board(world)
+        rows = np.frombuffer(world.data, dtype=np.uint8).reshape(world.height, -1)
+        plane = np.unpackbits(rows, axis=1, count=world.width + 1, bitorder="little")
+        self._r = int.from_bytes(np.packbits(plane, bitorder="little").tobytes(), "little")
         self.generation = world.generation
 
     def world(self) -> World:
-        return from_board(self._r, self._width, self._height, self.generation)
+        n = self._height * self._stride
+        octets = np.frombuffer(self._r.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
+        plane = np.unpackbits(octets, count=n, bitorder="little").reshape(self._height, -1)
+        return from_cells(plane[:, :self._width], self.generation)
+
+
+# Bytes per page: the unit every plane of a _PlaneTick is aligned and spaced to.
+_PAGE = 4096
 
 
 class _PlaneTick:
-    """The registers as grid.Planes, and the gate steps over them.
+    """The registers as bit-packed uint64 planes, and the gate steps over them.
 
-    A row plane is a bordered plane of grid.Planes, so each of its row
-    offset reads is a flat offset view. The tick is a list of ufunc calls,
-    64 cells per op and with no allocation: the west and east shifts with
-    their carries (Planes.shifts), then the schedule's steps bound to this
-    size's planes. The mask is zero on the guard bits.
+    A plane is one flat array of height * stride words, stride the words
+    that hold width + 1 bits: a row's cells, then zero guard bits, as on a
+    board. Unless width % 64 == 0 they are the row's padding bits, so the
+    registers are World.data word for word, and load() and world() are one
+    copy each. A row plane adds an all-zero row above and below, so the
+    rows above and below any row are flat offset views of it. The
+    registers are row plane 0's interior; the mask is 1 on the cells.
+
+    All planes are carved from one buffer, allocated here, once: the
+    schedule's n_rows row planes, its n_flat flat planes, then the mask.
+    Row 0 of each starts on a page boundary, with a border row just before
+    it, and each is a whole number of pages from the next, so a step's
+    speed does not depend on where the heap puts the buffer.
+
+    The tick is a list of ufunc calls, 64 cells per op and with no
+    allocation: the west and east shifts, then the schedule's steps bound
+    to this size's planes. Bit x of a row of west holds cell x - 1 and of
+    east cell x + 1, with 0 shifted in; the shifts are 1-D ops that move a
+    cell past its row's end only onto a guard bit, and rows of more than
+    one word carry the bit that crosses each word boundary through the
+    carry plane.
     """
 
     name = "planes"
 
     def __init__(self, schedule: Schedule, width: int, height: int):
-        p = Planes(width, height, bordered=schedule.n_rows, flat=schedule.n_flat)
-        self._planes = p
+        n_rows = schedule.n_rows
+        rw = (width + 63) >> 6
+        self._width, self._height = width, height
+        stride = (width + 64) >> 6
+        size = height * stride
+        page = _PAGE // 8  # words
+        lead = -(-stride // page) * page  # the pages before row 0
+        span = -(-(lead + size + stride) // page) * page
+        n = n_rows + schedule.n_flat + 1
+        # np.full writes every page now, so the first tick does not pay
+        # the page faults; the border rows and guard bits must be 0.
+        buf = np.full(n * span + page, 0, dtype=np.uint64)
+        start = -buf.ctypes.data % _PAGE // 8
+        planes = buf[start:start + n * span].reshape(n, span)
+        planes = planes[:, lead - stride:lead + size + stride]
+        flat = planes[n_rows:-1, stride:-stride]
+        mask = planes[-1, stride:-stride].reshape(height, stride)
+        mask[:, :rw] = MASK64
+        mask[:, rw - 1] = (1 << (width - 64 * (rw - 1))) - 1
+        mask = mask.reshape(-1)
+        self._regs = planes[0, stride:-stride].reshape(height, stride)[:, :rw]
 
         @cache  # one view per plane: numpy steps in place faster on the input object itself
         def plane(arg):
             if isinstance(arg, int):
-                return p.flat[arg]
-            return p.mask if arg == "mask" else p.row(*arg)
+                return flat[arg]
+            if arg == "mask":
+                return mask
+            k, dy = arg  # row y of the view reads row y + dy of row plane k
+            return planes[k, (1 + dy) * stride:(1 + dy) * stride + size]
 
-        shifts = p.shifts(plane(schedule.west), plane(schedule.east), plane(schedule.carry))
-        self._ops = shifts + [(ufunc, tuple(map(plane, args))) for ufunc, args in schedule.steps]
+        regs, west, east = plane((0, 0)), plane(schedule.west), plane(schedule.east)
+        # 0-d arrays: numpy converts a scalar shift count on every call
+        one, top = np.array(1, dtype=np.uint64), np.array(63, dtype=np.uint64)
+        ops = [(np.left_shift, (regs, one, west)),
+               (np.right_shift, (regs, one, east))]
+        if width > 64:  # carry the bit that crosses each word boundary
+            carry = plane(schedule.carry)[:-1]
+            ops += [(np.right_shift, (regs[:-1], top, carry)),
+                    (np.bitwise_or, (west[1:], carry, west[1:])),
+                    (np.left_shift, (regs[1:], top, carry)),
+                    (np.bitwise_or, (east[:-1], carry, east[:-1]))]
+        self._ops = ops + [(ufunc, tuple(map(plane, args))) for ufunc, args in schedule.steps]
         self.ops_per_tick = len(self._ops)
-        self.plane_bytes = p.mask.nbytes + p.flat.nbytes
+        self.plane_bytes = mask.nbytes + flat.nbytes
 
     def load(self, world: World) -> None:
-        self._planes.load(world)
+        self._regs[...] = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
         self.generation = world.generation
 
     def world(self) -> World:
-        return self._planes.world(self.generation)
+        data = self._regs.astype("<u8", copy=False).tobytes()
+        return World.from_bytes(self._width, self._height, data, self.generation)
 
     def tick(self) -> None:
         for op, args in self._ops:

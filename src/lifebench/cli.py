@@ -117,12 +117,10 @@ def _read(path: str, parse, what: str):
 
 
 def cmd_run(args) -> int:
-    final = run(args.engine, _read(args.pattern, parse_pattern, "pattern"), args.steps)
-    out_text = serialize_pattern(final)
-    if args.out:
-        Path(args.out).write_text(out_text, encoding="ascii")
-    else:
-        sys.stdout.write(out_text)
+    world = _read(args.pattern, parse_pattern, "pattern")
+    # --out is opened before any step, so that a bad path fails at once.
+    with open(args.out, "w", encoding="ascii") if args.out else contextlib.nullcontext() as out:
+        (out or sys.stdout).write(serialize_pattern(run(args.engine, world, args.steps)))
     return EXIT_OK
 
 

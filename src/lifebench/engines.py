@@ -6,8 +6,7 @@
 * BitSlicedEngine: every cell is updated at once with word-wide boolean
   adder chains, written as a cell table that the circuit module compiles
   and evaluates like the netlist's: on one arbitrary-precision integer for
-  a small world and on bit-packed uint64 planes (grid.Planes) for a
-  larger one.
+  a small world and on bit-packed uint64 planes for a larger one.
 * CircuitEngine: drives the synchronous netlist from the circuit module,
   one clock tick per step.
 
@@ -148,7 +147,7 @@ class BitSlicedEngine:
     The step is _TABLE, compiled and evaluated by the circuit module like
     the netlist's cell table. load() binds step() and world() straight to
     circuit.evaluator() for the world's size: one int for a small board,
-    grid.Planes for a larger one.
+    uint64 planes for a larger one.
     """
 
     kind = "bitsliced"

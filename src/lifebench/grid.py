@@ -7,10 +7,10 @@ the text order of the plaintext pattern format ('.' dead, 'O' alive).
 
 A World's cells are one immutable bytes object, World.data. cells() and
 from_cells() are the one codec between it and an (height, width) 0/1
-array; the generator, pattern text and the byte and plane engines use it.
-board() and from_board() convert a World to and from the one-int layout
-of the bit-sliced engine and the circuit on small worlds, and Planes holds
-a larger one as uint64 planes; both close each row with zero guard bits.
+array; the generator, pattern text, the reference engine and the int
+evaluator's readback use it. The register layouts that the bit-parallel
+engines step, one int or uint64 planes, live in the circuit module's
+evaluators.
 """
 
 from __future__ import annotations
@@ -137,18 +137,9 @@ class World:
     def words(self) -> tuple[int, ...]:
         return tuple(np.frombuffer(self.data, dtype="<u8").tolist())
 
-    @property
-    def row_words(self) -> int:
-        return (self.width + 63) >> 6
-
     @classmethod
     def empty(cls, width: int, height: int) -> "World":
         return cls.from_bytes(width, height, bytes(8 * height * ((width + 63) >> 6)))
-
-    def get(self, x: int, y: int) -> int:
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise IndexError(f"cell ({x},{y}) outside {self.width}x{self.height} world")
-        return (self.data[8 * y * self.row_words + (x >> 3)] >> (x & 7)) & 1
 
     def __eq__(self, other):
         if not isinstance(other, World):
@@ -180,116 +171,6 @@ def from_cells(bits, generation: int = 0) -> World:
     octets = np.zeros((height, 8 * ((width + 63) >> 6)), dtype=np.uint8)
     octets[:, :(width + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
     return World.from_bytes(width, height, octets.tobytes(), generation)
-
-
-# A board is a world as one int, the layout of the int-based engines: bit
-# (x, y) sits at y * (width + 1) + x. The guard bit x = width of each row is
-# 0, so a shift by one never carries a cell into the next row.
-
-
-def board(world: World) -> int:
-    """The world as a board; its guard bits are the World's zero padding bits."""
-    rows = np.frombuffer(world.data, dtype=np.uint8).reshape(world.height, -1)
-    plane = np.unpackbits(rows, axis=1, count=world.width + 1, bitorder="little")
-    return int.from_bytes(np.packbits(plane, bitorder="little").tobytes(), "little")
-
-
-def from_board(value: int, width: int, height: int, generation: int = 0) -> World:
-    """World from a width x height board; its guard bits are ignored."""
-    n = height * (width + 1)
-    octets = np.frombuffer(value.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
-    plane = np.unpackbits(octets, count=n, bitorder="little").reshape(height, -1)
-    return from_cells(plane[:, :width], generation)
-
-
-def full_board(width: int, height: int) -> int:
-    """The board with every cell set and every guard bit 0."""
-    full, rows = (1 << width) - 1, 1
-    while rows < height:  # double the rows that are set
-        full |= full << (rows * (width + 1))
-        rows *= 2
-    return full & ((1 << (height * (width + 1))) - 1)
-
-
-# Bytes per page: the unit every plane of a Planes is aligned and spaced to.
-PAGE = 4096
-
-
-class Planes:
-    """A world's cells as bit-packed uint64 planes: the layout both plane evaluators step.
-
-    A plane is one flat array of height * stride words, stride the words
-    that hold width + 1 bits: a row's cells, then zero guard bits, as on a
-    board. Unless width % 64 == 0 they are the row's padding bits, so the
-    registers are World.data word for word. The west and east shifts
-    (shifts()) are 1-D ops that move a cell past its row's end only onto a
-    guard bit. A bordered plane adds an all-zero row above and below, so
-    the rows above and below any row are flat offset views of it (row()).
-    The registers are bordered plane 0's interior; mask is 1 on the cells.
-
-    All planes are carved from one buffer, allocated here, once, so a step
-    that writes into them allocates nothing: the bordered planes, the flat
-    planes, then the mask. Row 0 of each starts on a page boundary, with a
-    border row just before it, and each is a whole number of pages from
-    the next, so a step's speed does not depend on where the heap puts the
-    buffer.
-    """
-
-    def __init__(self, width: int, height: int, bordered: int, flat: int):
-        rw = (width + 63) >> 6
-        self.width, self.height = width, height
-        self._stride = stride = (width + 64) >> 6
-        self._size = height * stride
-        page = PAGE // 8  # words
-        lead = -(-stride // page) * page  # the pages before row 0
-        span = -(-(lead + self._size + stride) // page) * page
-        n = bordered + flat + 1
-        # np.full writes every page now, so the first step does not pay
-        # the page faults; the border rows and guard bits must be 0.
-        buf = np.full(n * span + page, 0, dtype=np.uint64)
-        start = -buf.ctypes.data % PAGE // 8
-        planes = buf[start:start + n * span].reshape(n, span)
-        planes = planes[:, lead - stride:lead + self._size + stride]
-        self._bordered = planes[:bordered].reshape(bordered, height + 2, stride)
-        self.flat = planes[bordered:-1, stride:-stride]
-        mask = planes[-1, stride:-stride].reshape(height, stride)
-        mask[:, :rw] = MASK64
-        mask[:, rw - 1] = (1 << (width - 64 * (rw - 1))) - 1
-        self.mask = mask.reshape(-1)
-        self._regs = self._bordered[0, 1:-1, :rw]
-
-    def row(self, plane: int, dy: int = 0) -> np.ndarray:
-        """Bordered plane `plane` as a flat plane whose row y reads its row y + dy (|dy| <= 1)."""
-        lo = (1 + dy) * self._stride
-        return self._bordered[plane].reshape(-1)[lo:lo + self._size]
-
-    def shifts(self, west: np.ndarray, east: np.ndarray, carry: np.ndarray) -> list:
-        """(ufunc, args) ops that write the registers shifted into flat planes.
-
-        Bit x of a row of west holds cell x - 1 and of east cell x + 1;
-        bits shifted in are 0. carry is a plane that is free while they run.
-        """
-        regs = self.row(0)
-        # 0-d arrays: numpy converts a scalar shift count on every call
-        one, top = np.array(1, dtype=np.uint64), np.array(63, dtype=np.uint64)
-        ops = [(np.left_shift, (regs, one, west)),
-               (np.right_shift, (regs, one, east))]
-        if self.width > 64:  # carry the bit that crosses each word boundary
-            carry = carry[:-1]
-            ops += [(np.right_shift, (regs[:-1], top, carry)),
-                    (np.bitwise_or, (west[1:], carry, west[1:])),
-                    (np.left_shift, (regs[1:], top, carry)),
-                    (np.bitwise_or, (east[:-1], carry, east[:-1]))]
-        return ops
-
-    def load(self, world: World) -> None:
-        """The world into the registers, its zero padding bits as guard bits: one copy."""
-        self._regs[...] = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
-
-    def world(self, generation: int) -> World:
-        """The registers as a World: one tobytes, contiguous unless width % 64 == 0."""
-        data = self._regs.astype("<u8", copy=False).tobytes()
-        return World.from_bytes(self.width, self.height, data, generation)
 
 
 def parse_pattern(text: str) -> World:

@@ -51,10 +51,22 @@ class FakeClock:
         return self.now_ns
 
 
+def row_words(world):
+    """The words that hold one row of world.data."""
+    return (world.width + 63) >> 6
+
+
+def get_cell(world, x, y):
+    """Cell (x, y) read straight from world.data's bits, 1 = alive."""
+    if not (0 <= x < world.width and 0 <= y < world.height):
+        raise IndexError(f"cell ({x},{y}) outside {world.width}x{world.height} world")
+    return (world.data[8 * y * row_words(world) + (x >> 3)] >> (x & 7)) & 1
+
+
 def world_from_rows(width, height, rows, generation=0):
     """World from one int per row, bit x = cell x; bits at x >= width must be 0."""
-    row_words = (width + 63) >> 6
-    words = [(r >> (64 * i)) & MASK64 for r in rows for i in range(row_words)]
+    n = (width + 63) >> 6
+    words = [(r >> (64 * i)) & MASK64 for r in rows for i in range(n)]
     return World(width, height, words, generation)
 
 
@@ -71,7 +83,7 @@ def bit_rows(width, min_size, max_size):
 
 def row_ints(world):
     """Each row of world.data as one int, bit x = cell x, padding bits included."""
-    size = 8 * world.row_words
+    size = 8 * row_words(world)
     return [int.from_bytes(world.data[i:i + size], "little")
             for i in range(0, len(world.data), size)]
 
@@ -122,7 +134,7 @@ def neighbor_count(world, x, y):
         for dx in (-1, 0, 1):
             nx, ny = x + dx, y + dy
             if (dx or dy) and 0 <= nx < world.width and 0 <= ny < world.height:
-                cnt += world.get(nx, ny)
+                cnt += get_cell(world, nx, ny)
     return cnt
 
 
@@ -132,7 +144,7 @@ def naive_step(world):
     for y in range(world.height):
         r = 0
         for x in range(world.width):
-            if next_cell_state(world.get(x, y), neighbor_count(world, x, y)):
+            if next_cell_state(get_cell(world, x, y), neighbor_count(world, x, y)):
                 r |= 1 << x
         rows.append(r)
     return world_from_rows(world.width, world.height, rows, world.generation + 1)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (BEACON_A, BEACON_B, bit_rows, cells_of, naive_step, neighbourhood_world,
-                     next_cell_state, node_graph, table_step, tick_in_order, world_from_rows)
+from helpers import (BEACON_A, BEACON_B, bit_rows, cells_of, get_cell, naive_step,
+                     neighbourhood_world, next_cell_state, node_graph, table_step,
+                     tick_in_order, world_from_rows)
 from lifebench.circuit import (_BLOCKS, _CELL, _INT_TICK_MAX_BITS, _SYMBOLS, AND, CONST0,
                               KIND_NAMES, MAJ3, NOT, OR, XOR, XOR3, Schedule, SizeMismatch,
                               _IntTick, _PlaneTick, count_resources, elaborate, evaluator)
@@ -374,7 +375,7 @@ def test_every_neighbourhood(schedule, tick):
     stepped = ev.world()
     for pattern, (x, y) in enumerate(centres):
         count = (pattern & ~(1 << 4)).bit_count()
-        assert stepped.get(x, y) == next_cell_state(pattern >> 4 & 1, count), pattern
+        assert get_cell(stepped, x, y) == next_cell_state(pattern >> 4 & 1, count), pattern
     assert stepped == naive_step(world)
 
 

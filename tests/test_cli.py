@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lifebench
-from helpers import BEACON_A
+from helpers import BEACON_A, BEACON_B
 from lifebench.cli import main, parse_size, parse_sizes
 
 
@@ -113,6 +113,21 @@ def test_run_ragged_pattern_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["run", str(path)], capsys)
     assert code == 2
     assert "line 2" in err
+
+
+def test_run_out_in_missing_dir_fails_before_stepping(beacon_file, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(lifebench.cli, "run", lambda *a: pytest.fail("stepped before --out opened"))
+    code, out, err = run_cli(["run", beacon_file, "--steps", "20000",
+                              "--out", str(tmp_path / "nodir" / "x.txt")], capsys)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "nodir" in err
+    # a bad pattern fails before --out is opened, so it leaves the file as it was
+    kept, ragged = tmp_path / "kept.txt", tmp_path / "ragged.txt"
+    kept.write_text(BEACON_B)
+    ragged.write_text("OO\nO\n")
+    code, _, _ = run_cli(["run", str(ragged), "--out", str(kept)], capsys)
+    assert code == 2 and kept.read_text() == BEACON_B
 
 
 def test_run_missing_file_exit_1(capsys):

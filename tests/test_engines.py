@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (BEACON_A, BEACON_B, GLIDER, bit_rows, cells_of, crop, embed,
-                     naive_step, neighbor_count, next_cell_state, row_ints,
+from helpers import (BEACON_A, BEACON_B, GLIDER, bit_rows, cells_of, crop, embed, get_cell,
+                     naive_step, neighbor_count, next_cell_state, row_ints, row_words,
                      world_from_cells, world_from_rows)
 from lifebench.circuit import _INT_TICK_MAX_BITS, SizeMismatch, elaborate
 from lifebench.engines import (_INT_STEP_MAX_BITS, ENGINE_KINDS, CircuitEngine, NoWorld,
@@ -41,7 +41,7 @@ def test_neighbor_count_saturation_and_corner():
 
 def test_neighbor_count_beacon():
     w = parse_pattern(BEACON_A)
-    assert w.get(2, 2) == 0
+    assert get_cell(w, 2, 2) == 0
     assert neighbor_count(w, 2, 2) == 3  # (1,1), (2,1), (1,2)
 
 
@@ -168,7 +168,7 @@ def test_compiled_tick_matches_bitsliced(data):
 def test_engines_agree_on_arbitrary_worlds(width, height, data):
     # Beside criterion 2's seeded worlds: any world up to 12x12, where the
     # reference engine is the oracle, since bitsliced and the circuit's int
-    # tick share grid.board.
+    # tick share circuit._IntTick's board.
     rows = data.draw(bit_rows(width, height, height))
     world = world_from_rows(width, height, rows)
     steps = data.draw(st.integers(1, 4))
@@ -180,8 +180,8 @@ def test_engines_agree_on_arbitrary_worlds(width, height, data):
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_bitsliced_planes_match_reference(data):
-    # The bit-sliced plane step shares grid.Planes with the circuit's plane
-    # tick, so the reference engine is the oracle. The drawn rows repeat to
+    # The bit-sliced plane step shares circuit._PlaneTick's planes with the
+    # circuit's plane tick, so the reference engine is the oracle. The drawn rows repeat to
     # just past the largest board the bit-sliced engine steps as one int.
     width = data.draw(st.one_of(st.sampled_from([1, 63, 64, 65, 127, 128, 129]),
                                 st.integers(1, 300)))
@@ -205,7 +205,7 @@ def test_step_keeps_padding_bits_zero(kind):
         edges = world_from_rows(w, h, [1 | 1 << (w - 1)] * h)
         for world in (random_world(w, h, 0.8, rng.next_u64()), edges):
             stepped = run(kind, world, 2)
-            mask = (1 << (64 * stepped.row_words)) - (1 << w)
+            mask = (1 << (64 * row_words(stepped))) - (1 << w)
             assert all(row & mask == 0 for row in row_ints(stepped))
 
 

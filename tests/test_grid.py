@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (BEACON_A, BEACON_B, BEACON_A_CELLS, bit_rows, cells_of,
-                     random_world_oracle, row_ints, world_from_rows)
-from lifebench.grid import (PAGE, BadDensity, EmptyPattern, IllegalChar, Planes, RaggedLines,
-                            Rng, World, board, cells, from_board, from_cells, full_board,
-                            parse_pattern, population, random_world, serialize_pattern)
+from helpers import (BEACON_A, BEACON_B, BEACON_A_CELLS, bit_rows, cells_of, get_cell,
+                     random_world_oracle, row_ints, row_words, world_from_rows)
+from lifebench.circuit import _CELL, _IntTick, _PlaneTick
+from lifebench.engines import _SCHEDULE
+from lifebench.grid import (BadDensity, EmptyPattern, IllegalChar, RaggedLines, Rng, World,
+                            cells, from_cells, parse_pattern, population, random_world,
+                            serialize_pattern)
 
 
 def test_parse_beacon():
@@ -78,7 +80,7 @@ def test_padding_bits_zero():
     rng = Rng(3)
     for w, h in [(1, 1), (63, 2), (64, 2), (65, 2), (100, 7), (129, 3)]:
         world = random_world(w, h, 0.9, rng.next_u64())
-        rw = world.row_words
+        rw = row_words(world)
         mask = (1 << (64 * rw)) - (1 << w)  # bits above width, per row
         assert all(row & mask == 0 for row in row_ints(world))
 
@@ -137,13 +139,13 @@ def test_rng_reference_vector():
 
 def test_world_get_and_bounds():
     w = parse_pattern("O.\n.O")
-    assert w.get(0, 0) == 1
-    assert w.get(1, 0) == 0
-    assert w.get(1, 1) == 1
+    assert get_cell(w, 0, 0) == 1
+    assert get_cell(w, 1, 0) == 0
+    assert get_cell(w, 1, 1) == 1
     with pytest.raises(IndexError):
-        w.get(2, 0)
+        get_cell(w, 2, 0)
     with pytest.raises(IndexError):
-        w.get(0, -1)
+        get_cell(w, 0, -1)
 
 
 def test_world_equality_ignores_generation():
@@ -198,7 +200,7 @@ def test_world_data_is_bytes():
               World.empty(3, 2), World(3, 1, (5,)), parse_pattern("O.\n.O"),
               from_cells(cells(world))):
         assert type(w.data) is bytes
-        assert len(w.data) == 8 * w.height * w.row_words
+        assert len(w.data) == 8 * w.height * row_words(w)
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 129])
@@ -228,7 +230,7 @@ def test_from_bytes_padding_roundtrip(width):
     if width % 64:
         for y in range(3):  # the first padding bit, x = width, of each row
             data = bytearray(full.data)
-            bit = 64 * full.row_words * y + width
+            bit = 64 * row_words(full) * y + width
             data[bit >> 3] |= 1 << (bit & 7)
             with pytest.raises(ValueError, match="padding bits"):
                 World.from_bytes(width, 3, data)
@@ -239,7 +241,7 @@ def test_get_agrees_with_cells():
     bits = cells(world)
     for y in range(4):
         for x in (0, 7, 8, 63, 64, 65, 129):
-            assert world.get(x, y) == bits[y, x]
+            assert get_cell(world, x, y) == bits[y, x]
 
 
 def test_hash_and_eq_agree_with_words():
@@ -288,7 +290,7 @@ def test_cells_codec_roundtrip(width):
     world = random_world(width, 3, 0.5, width)
     bits = cells(world)
     assert bits.shape == (3, width)
-    assert bits.tolist() == [[world.get(x, y) for x in range(width)] for y in range(3)]
+    assert bits.tolist() == [[get_cell(world, x, y) for x in range(width)] for y in range(3)]
     again = from_cells(bits, generation=9)
     assert again == world and again.words == world.words
     assert again.generation == 9
@@ -302,30 +304,48 @@ def worlds(draw):
     return world_from_rows(width, height, rows)
 
 
+# The register layouts of circuit.evaluator(), which load and read back a
+# World: the int evaluator's board and the plane evaluator's planes.
+
+
 @settings(max_examples=100, deadline=None)
 @given(worlds())
 def test_board_codec_roundtrip(world):
     w, h = world.width, world.height
-    value = board(world)
-    assert value == sum(world.get(x, y) << (y * (w + 1) + x)
+    ev = _IntTick(_CELL, w, h)
+    ev.load(World.from_bytes(w, h, world.data, generation=5))
+    assert ev._r == sum(get_cell(world, x, y) << (y * (w + 1) + x)
                         for y in range(h) for x in range(w))
-    assert value & ~full_board(w, h) == 0  # guard bits 0
-    again = from_board(value, w, h, generation=5)
+    assert ev._r & ~ev._mask == 0  # guard bits 0
+    again = ev.world()
     assert again == world and again.generation == 5
-    assert full_board(w, h) == board(from_cells(np.ones((h, w), dtype=bool)))
+    ev.load(from_cells(np.ones((h, w), dtype=bool)))
+    assert ev._mask == ev._r
+
+
+def planes(ev, schedule):
+    """The planes of a _PlaneTick by their names in the schedule, read off its ops."""
+    named = {}
+    for (_, args), (_, arrays) in zip(schedule.steps, ev._ops[-len(schedule.steps):]):
+        named.update(zip(args, arrays))
+    return named
 
 
 @pytest.mark.parametrize("width, height", [(1, 1), (64, 3), (65, 7), (500, 500), (40000, 2)])
 def test_planes_start_on_page_boundaries(width, height):
-    # Row 0 of every bordered plane, every flat plane and the mask; at
-    # 40000 cells a row is more than a page wide.
-    p = Planes(width, height, bordered=3, flat=4)
-    planes = [p.row(k) for k in range(3)] + list(p.flat) + [p.mask]
-    assert all(plane.ctypes.data % PAGE == 0 for plane in planes)
-    assert len({plane.ctypes.data for plane in planes}) == len(planes)
-    stride = p.row(0).size // height
-    for k in range(3):  # the zero rows above and below each bordered plane
-        assert not p.row(k, -1)[:stride].any() and not p.row(k, 1)[-stride:].any()
+    # Row 0 of every row plane, every flat plane and the mask, for both
+    # tables; at 40000 cells a row is more than a page wide.
+    stride = (width + 64) >> 6
+    for schedule in (_CELL, _SCHEDULE):
+        named = planes(_PlaneTick(schedule, width, height), schedule)
+        rows = [named[k, 0] for k in range(schedule.n_rows)]
+        every = rows + [named[k] for k in range(schedule.n_flat)] + [named["mask"]]
+        assert all(plane.ctypes.data % 4096 == 0 for plane in every)
+        assert len({plane.ctypes.data for plane in every}) == len(every)
+        buf = rows[0].base  # the one buffer that every plane is carved from
+        for plane in rows:  # the zero rows above and below each row plane
+            at = (plane.ctypes.data - buf.ctypes.data) // 8
+            assert not buf[at - stride:at].any() and not buf[at + plane.size:][:stride].any()
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 127, 128, 500, 1000])
@@ -334,12 +354,15 @@ def test_planes_rows_close_with_a_guard_bit(width):
     # row is width + 1 bits: World.data's row words unless width % 64 == 0,
     # then one guard word more.
     height = 5
-    p = Planes(width, height, bordered=1, flat=1)
-    assert p.row(0).size == height * ((width + 64) >> 6)
+    ev = _PlaneTick(_SCHEDULE, width, height)
+    named = planes(ev, _SCHEDULE)
+    assert named[0, 0].size == height * ((width + 64) >> 6)
     for world in (random_world(width, height, 0.5, width),
-                  from_cells(np.ones((height, width), dtype=bool))):
-        p.load(world)
-        assert p.world(world.generation) == world
+                  from_cells(np.ones((height, width), dtype=bool), generation=3)):
+        ev.load(world)
+        again = ev.world()
+        assert again == world and again.generation == world.generation
+    assert (named["mask"] == named[0, 0]).all()  # the mask is the all-cells registers
 
 
 @settings(max_examples=100, deadline=None)
