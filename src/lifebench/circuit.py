@@ -478,7 +478,7 @@ class Netlist:
     """The cell table's registers and gates, replicated over one world size.
 
     A tick runs the cell table's schedule on evaluator(), which the
-    world's size picks: tick and to_world are the evaluator's own tick and
+    world's size picks: tick and world are the evaluator's own tick and
     world, which returns the registers as a World whose generation is the
     loaded one's plus the ticks since. Each block reads only registers and
     earlier blocks, and the registers are overwritten by the last step
@@ -494,7 +494,7 @@ class Netlist:
         self.n_registers = width * height
         self.n_comb_nodes = 1 + len(_BLOCKS) * self.n_registers  # the gates and one constant 0
         self._eval = evaluator(_CELL, width, height)
-        self.tick, self.to_world = self._eval.tick, self._eval.world
+        self.tick, self.world = self._eval.tick, self._eval.world
         self._eval.load(World.empty(width, height))
 
     def load(self, world: World) -> None:

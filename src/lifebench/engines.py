@@ -11,7 +11,9 @@
   one clock tick per step.
 
 All three produce bit-identical world sequences from the same start.
-step() and world() raise NoWorld until the first load().
+They share one load/step/world shell, _Engine, and differ only in the
+per-size state it loads and steps; step() and world() raise NoWorld
+until the first load().
 
 Engine instances are single-threaded (no concurrent step calls); distinct
 instances are independent, and Worlds move freely between threads.
@@ -24,8 +26,6 @@ import numpy as np
 from . import circuit as _circuit
 from .circuit import AND, MAJ3, NOT, OR, XOR, XOR3
 from .grid import World, cells, from_cells
-
-ENGINE_KINDS = ("reference", "bitsliced", "circuit")
 
 # The bit-sliced step as a cell table in the input language of
 # circuit.Schedule: 2-bit horizontal sums (a pair for the cell's own row, a
@@ -72,41 +72,28 @@ def _no_world(*_):
     raise NoWorld("no world loaded: call load(world) first")
 
 
-class ReferenceEngine:
-    """Scalar baseline: per-cell neighbor sum over a halo-padded byte grid.
+class _Halo:
+    """The reference's state: a halo-padded byte grid and its scalar kernel.
 
-    Two buffers are allocated at load time and swapped after every step,
-    so the steady-state step cost contains no allocation.
+    Two buffers are allocated once per size and swapped after every tick,
+    so the steady-state tick cost contains no allocation.
     """
 
-    kind = "reference"
-
-    def __init__(self, world: World | None = None):
-        self._cur = bytearray(0)
-        self._next = bytearray(0)
-        self._width = 0
-        self._height = 0
-        self._generation = 0
-        if world is not None:
-            self.load(world)
+    def __init__(self, width: int, height: int):
+        self._width, self._height = width, height
+        self._cur = bytearray((height + 2) * (width + 2))
+        self._next = bytearray((height + 2) * (width + 2))
 
     def load(self, world: World) -> None:
-        w, h = world.width, world.height
-        if (w, h) != (self._width, self._height):
-            self._width, self._height = w, h
-            self._cur = bytearray((h + 2) * (w + 2))
-            self._next = bytearray((h + 2) * (w + 2))
         self._interior()[...] = cells(world)  # the halo is never written
-        self._generation = world.generation
+        self.generation = world.generation
 
     def _interior(self) -> np.ndarray:
         """Writable (height, width) view of the current grid inside its halo."""
         grid = np.frombuffer(self._cur, dtype=np.uint8).reshape(self._height + 2, -1)
         return grid[1:-1, 1:-1]
 
-    def step(self) -> None:
-        if not self._height:
-            _no_world()
+    def tick(self) -> None:
         cur = self._cur
         nxt = self._next
         w = self._width
@@ -127,15 +114,55 @@ class ReferenceEngine:
                 else:
                     nxt[mx] = 0
         self._cur, self._next = nxt, cur
-        self._generation += 1
+        self.generation += 1
 
     def world(self) -> World:
-        if not self._height:
+        return from_cells(self._interior(), self.generation)
+
+
+class _Engine:
+    """The load/step/world protocol, over the per-size state _new() builds.
+
+    A state has load(world), tick() and world(). load() builds a new one
+    only when the world's size changes, loads the world into it and only
+    then binds step() straight to its tick, so a refused load binds nothing
+    and the step path carries no check and no forwarding frame. step() is
+    bound again only when the state changes, so a step set in its place
+    since survives a load of the same size. world() stays a method of the
+    class, so that patching the class reaches every instance.
+    """
+
+    step = _no_world
+    _state = _size = None
+
+    def __init__(self, world: World | None = None):
+        if world is not None:
+            self.load(world)
+
+    def load(self, world: World) -> None:
+        size = world.width, world.height
+        state = self._state if size == self._size else self._new(*size)
+        state.load(world)
+        if state is not self._state:
+            self._state, self._size = state, size
+            self.step = state.tick
+
+    def world(self) -> World:
+        if self._state is None:
             _no_world()
-        return from_cells(self._interior(), self._generation)
+        return self._state.world()
 
 
-class BitSlicedEngine:
+class ReferenceEngine(_Engine):
+    """Scalar baseline: per-cell neighbor sum over a halo-padded byte grid."""
+
+    kind = "reference"
+
+    def _new(self, width: int, height: int) -> _Halo:
+        return _Halo(width, height)
+
+
+class BitSlicedEngine(_Engine):
     """All cells updated at once with boolean adder chains over bit-packed cells.
 
     Per step: 2-bit horizontal sums (pair for the cell's own row, triple
@@ -145,72 +172,39 @@ class BitSlicedEngine:
     same fixed dead boundary as the halo in the reference engine.
 
     The step is _TABLE, compiled and evaluated by the circuit module like
-    the netlist's cell table. load() binds step() and world() straight to
-    circuit.evaluator() for the world's size: one int for a small board,
-    uint64 planes for a larger one.
+    the netlist's cell table, on circuit.evaluator() for the world's size:
+    one int for a small board, uint64 planes for a larger one.
     """
 
     kind = "bitsliced"
-    step = world = _no_world
 
-    def __init__(self, world: World | None = None):
-        self._size = None
-        if world is not None:
-            self.load(world)
-
-    def load(self, world: World) -> None:
-        size = world.width, world.height
-        if size != self._size:
-            self._size = size
-            self._state = _circuit.evaluator(_SCHEDULE, *size)
-            self.step, self.world = self._state.tick, self._state.world
-        self._state.load(world)
+    def _new(self, width: int, height: int):
+        return _circuit.evaluator(_SCHEDULE, width, height)
 
 
-class CircuitEngine:
+class CircuitEngine(_Engine):
     """Synchronous-circuit emulation: one netlist clock tick per step.
 
     A netlist elaborated for another size is rejected; without a fixed
     netlist one is elaborated (and reused) for the loaded world's size.
-    load() binds step() straight to the netlist's tick, and binds it again
-    only when the netlist changes, so a step set in its place since
-    survives a load of the same size. world() stays a method of the class,
-    so that patching the class reaches every instance.
     """
 
     kind = "circuit"
-    step = _no_world
 
     def __init__(self, world: World | None = None, netlist: "_circuit.Netlist | None" = None):
         self._fixed = netlist  # the one netlist this engine steps, if given
-        self._netlist = None  # the netlist step() is bound to
-        if world is not None:
-            self.load(world)
+        super().__init__(world)
 
-    def load(self, world: World) -> None:
-        n = self._fixed or self._netlist
-        if n is None or (n.width, n.height) != (world.width, world.height):
-            n = self._fixed or _circuit.elaborate(world.width, world.height)
-        n.load(world)  # SizeMismatch if a fixed netlist is for another size
-        if n is not self._netlist:
-            self._netlist = n
-            self.step = n.tick
-
-    def world(self) -> World:
-        if self._netlist is None:
-            _no_world()
-        return self._netlist.to_world()
+    def _new(self, width: int, height: int) -> "_circuit.Netlist":
+        return self._fixed or _circuit.elaborate(width, height)
 
 
-_ENGINES = {
-    "reference": ReferenceEngine,
-    "bitsliced": BitSlicedEngine,
-    "circuit": CircuitEngine,
-}
+_ENGINES = {cls.kind: cls for cls in (ReferenceEngine, BitSlicedEngine, CircuitEngine)}
+ENGINE_KINDS = tuple(_ENGINES)
 
 
 def make_engine(kind: str, world: World | None = None):
-    """Engine instance by kind name ('reference', 'bitsliced', 'circuit')."""
+    """Engine instance by kind name, one of ENGINE_KINDS."""
     try:
         cls = _ENGINES[kind]
     except KeyError:

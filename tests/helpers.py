@@ -261,7 +261,7 @@ def tick_in_order(netlist, order):
     kinds, inputs, reg_next = node_graph(netlist)
     base = netlist.n_registers
     v = np.zeros(base + netlist.n_comb_nodes, dtype=bool)
-    v[:base] = cells(netlist.to_world()).ravel()
+    v[:base] = cells(netlist.world()).ravel()
     for nid in order:
         k = kinds[nid - base]
         a, b, c = inputs[nid - base]

@@ -55,9 +55,9 @@ def test_1x1_isolated_cell():
     # a live isolated cell dies on the next tick (count 0)
     n.load(World(1, 1, (1,)))
     n.tick()
-    assert population(n.to_world()) == 0
+    assert population(n.world()) == 0
     n.tick()
-    assert population(n.to_world()) == 0
+    assert population(n.world()) == 0
 
 
 def test_corner_cell_const_inputs():
@@ -134,19 +134,19 @@ def test_beacon_ticks():
     start = parse_pattern(BEACON_A)
     n = elaborate(6, 6)
     n.load(start)
-    assert n.to_world() == start
+    assert n.world() == start
     n.tick()
-    assert cells_of(n.to_world()) == cells_of(parse_pattern(BEACON_B))
+    assert cells_of(n.world()) == cells_of(parse_pattern(BEACON_B))
     n.tick()
-    assert n.to_world() == start
+    assert n.world() == start
 
 
 def test_all_dead_stays_dead():
     n = elaborate(4, 4)
-    assert n.to_world() == World.empty(4, 4)  # a new netlist powers up all dead
+    assert n.world() == World.empty(4, 4)  # a new netlist powers up all dead
     for _ in range(3):
         n.tick()
-        assert population(n.to_world()) == 0
+        assert population(n.world()) == 0
 
 
 def test_load_size_mismatch():
@@ -165,7 +165,7 @@ def test_tick_order_insensitive():
         n = elaborate(width, height)
         n.load(world)
         n.tick()
-        expected = n.to_world()
+        expected = n.world()
 
         levels = comb_level(n)
         ids = np.arange(n.n_registers, n.n_registers + n.n_comb_nodes)
@@ -174,7 +174,7 @@ def test_tick_order_insensitive():
             order = ids[np.lexsort((keys, levels[ids]))]  # random valid topo order
             n.load(world)
             tick_in_order(n, order)
-            assert n.to_world() == expected
+            assert n.world() == expected
 
 
 def tall(width):

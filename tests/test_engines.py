@@ -145,8 +145,9 @@ def test_compiled_tick_matches_bitsliced(data):
     # the same widths reach the plane tick too. Every board here stays below
     # the largest one the bit-sliced engine steps as one int, so the oracle
     # runs its own table on the int evaluator. Both tables are compiled by
-    # circuit.Schedule, so the reference engine, which shares no code with
-    # either, is the independent oracle (the tests below and criterion 2).
+    # circuit.Schedule, so the reference engine, whose kernel and codec share
+    # no code with either, is the independent oracle (the tests below and
+    # criterion 2).
     width = data.draw(st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129]), st.integers(1, 200)))
     rows = data.draw(bit_rows(width, 1, 6))
     evaluator = data.draw(st.sampled_from(["int", "planes"]))
@@ -243,6 +244,13 @@ def test_circuit_engine_size_mismatch():
     netlist = elaborate(6, 6)
     with pytest.raises(SizeMismatch):
         run(CircuitEngine(netlist=netlist), World.empty(5, 5), 1)
+    # A refused first load binds nothing: the engine still holds no world.
+    engine = CircuitEngine(netlist=netlist)
+    with pytest.raises(SizeMismatch):
+        engine.load(World.empty(5, 5))
+    for call in (engine.step, engine.world):
+        with pytest.raises(NoWorld):
+            call()
     # A refused load leaves the engine with the world it held.
     world = random_world(6, 6, 0.5, 5)
     engine, oracle = CircuitEngine(world, netlist=netlist), make_engine("reference", world)
@@ -353,6 +361,33 @@ def test_wrappers_survive_same_size_load(kind):
     engine.step()
     assert engine.world() == run("reference", second, 1)
     assert calls == ["step", "world"]
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+def test_one_engine_steps_worlds_of_changing_size(kind):
+    # Every size change builds a new state and binds step() to it: int
+    # boards, planes at tall(70), a size held before, 1x1 and a word edge.
+    engine = make_engine(kind)
+    for seed, (w, h) in enumerate([(9, 6), (70, tall(70)), (9, 6), (1, 1), (65, 3)]):
+        world = World(w, h, random_world(w, h, 0.5, seed).words, generation=10 * seed)
+        engine.load(world)
+        for _ in range(2):
+            engine.step()
+            world = naive_step(world)
+            out = engine.world()
+            assert out == world, f"divergence at {w}x{h}"
+            assert out.generation == world.generation
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+def test_class_patch_of_world_reaches_loaded_engines(kind, monkeypatch):
+    # perfbench's corrupted-engine test patches world() on the class, after
+    # the engine was made, so no load may bind world() on the instance.
+    engine = make_engine(kind, random_world(9, 6, 0.5, 1))
+    monkeypatch.setattr(type(engine), "world", lambda self: "patched")
+    assert engine.world() == "patched"
+    engine.load(random_world(5, 5, 0.5, 2))
+    assert engine.world() == "patched"
 
 
 def test_plane_steps_allocate_nothing():
