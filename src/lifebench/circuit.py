@@ -14,7 +14,9 @@ schedule, with no dispatch per op; a larger one is bit-packed uint64
 planes (_PlaneTick), 64 cells per ufunc call with no allocation. Each
 evaluator holds its register layout and its World codec, load() and
 world(), so this module decides both layouts, beside the Schedule that
-numbers the planes.
+numbers the planes. An evaluator records the World it last read out, so
+that loading it straight back, as one-generation World-in/World-out calls
+do, costs nothing (_Evaluator).
 """
 
 from __future__ import annotations
@@ -338,13 +340,44 @@ def evaluator(schedule: Schedule, width: int, height: int):
     (_IntTick), a larger one on uint64 planes (_PlaneTick). Either has
     load(world), tick(), world() and generation, the loaded world's
     generation plus the ticks since, and reports its name, ops_per_tick
-    and plane_bytes.
+    and plane_bytes. A load() of the World that world() last returned, if
+    nothing has ticked since, is free (_Evaluator).
     """
     small = height * (width + 1) <= schedule.int_max_bits
     return (_IntTick if small else _PlaneTick)(schedule, width, height)
 
 
-class _IntTick:
+class _Evaluator:
+    """load() and world() over an evaluator's _load() and _world() codec,
+    with the record that lets a World go out and straight back in for free.
+
+    world() records the bytes object it returns and the generation. load()
+    returns at once when the world's data is that object, its generation
+    the recorded one and the recorded one still the evaluator's: bytes are
+    immutable, so the same object holds the same cells, and a tick always
+    advances the generation, so nothing has ticked since the readback. Any
+    other load() clears the record and overwrites the registers. The
+    record lives here, with the registers, as two engines may share one
+    netlist and Netlist.load() may be called directly.
+    """
+
+    _readback = _readback_generation = None
+
+    def load(self, world: World) -> None:
+        if (world.data is self._readback
+                and world.generation == self._readback_generation == self.generation):
+            return
+        self._readback = None
+        self._load(world)
+        self.generation = world.generation
+
+    def world(self) -> World:
+        world = self._world()
+        self._readback, self._readback_generation = world.data, world.generation
+        return world
+
+
+class _IntTick(_Evaluator):
     """The registers as one int, a board, and Schedule.int_tick over it.
 
     A board holds cell (x, y) at bit y * (width + 1) + x. The guard bit x =
@@ -352,7 +385,9 @@ class _IntTick:
     the next row; load() takes the guard bits from the World's zero padding
     bits. The mask is the all-cells board, 0 on the guard bits and past the
     last row. A tick is one call, with no dispatch per gate step, but
-    CPython still allocates an int per op.
+    CPython still allocates an int per op. The codec unpacks the World's
+    rows into width + 1 bits and packs them back: world() builds its World
+    with from_cells, and load() of the last readback is skipped (_Evaluator).
     """
 
     name = "int"
@@ -368,13 +403,12 @@ class _IntTick:
         self.tick = MethodType(schedule.int_tick, self)
         self.ops_per_tick = schedule.int_ops
 
-    def load(self, world: World) -> None:
+    def _load(self, world: World) -> None:
         rows = np.frombuffer(world.data, dtype=np.uint8).reshape(world.height, -1)
         plane = np.unpackbits(rows, axis=1, count=world.width + 1, bitorder="little")
         self._r = int.from_bytes(np.packbits(plane, bitorder="little").tobytes(), "little")
-        self.generation = world.generation
 
-    def world(self) -> World:
+    def _world(self) -> World:
         n = self._height * self._stride
         octets = np.frombuffer(self._r.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
         plane = np.unpackbits(octets, count=n, bitorder="little").reshape(self._height, -1)
@@ -385,16 +419,19 @@ class _IntTick:
 _PAGE = 4096
 
 
-class _PlaneTick:
+class _PlaneTick(_Evaluator):
     """The registers as bit-packed uint64 planes, and the gate steps over them.
 
     A plane is one flat array of height * stride words, stride the words
     that hold width + 1 bits: a row's cells, then zero guard bits, as on a
     board. Unless width % 64 == 0 they are the row's padding bits, so the
     registers are World.data word for word, and load() and world() are one
-    copy each. A row plane adds an all-zero row above and below, so the
-    rows above and below any row are flat offset views of it. The
-    registers are row plane 0's interior; the mask is 1 on the cells.
+    copy each. Their padding bits stay 0 (Schedule), so world() builds its
+    World with the unchecked World._packed, and load() of the last readback
+    is skipped (_Evaluator). A row plane adds an all-zero row above and
+    below, so the rows above and below any row are flat offset views of
+    it. The registers are row plane 0's interior; the mask is 1 on the
+    cells.
 
     All planes are carved from one buffer, allocated here, once: the
     schedule's n_rows row planes, its n_flat flat planes, then the mask.
@@ -460,13 +497,12 @@ class _PlaneTick:
         self.ops_per_tick = len(self._ops)
         self.plane_bytes = mask.nbytes + flat.nbytes
 
-    def load(self, world: World) -> None:
+    def _load(self, world: World) -> None:
         self._regs[...] = np.frombuffer(world.data, dtype="<u8").reshape(self._regs.shape)
-        self.generation = world.generation
 
-    def world(self) -> World:
-        data = self._regs.astype("<u8", copy=False).tobytes()
-        return World.from_bytes(self._width, self._height, data, self.generation)
+    def _world(self) -> World:
+        data = self._regs.astype("<u8", copy=False).tobytes()  # off the cells the registers are 0
+        return World._packed(self._width, self._height, data, self.generation)
 
     def tick(self) -> None:
         for op, args in self._ops:

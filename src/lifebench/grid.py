@@ -10,7 +10,9 @@ from_cells() are the one codec between it and an (height, width) 0/1
 array; the generator, pattern text, the reference engine and the int
 evaluator's readback use it. The register layouts that the bit-parallel
 engines step, one int or uint64 planes, live in the circuit module's
-evaluators.
+evaluators. World.from_bytes checks that a buffer's padding bits are zero;
+from_cells and the plane evaluator's readback, whose padding is zero by
+construction, build their Worlds with the unchecked World._packed.
 """
 
 from __future__ import annotations
@@ -56,12 +58,20 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def mix64(z):
-    """SplitMix64 finalizer: avalanche a 64-bit int, or each of a uint64 array."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
+def mix64(z, scratch=None):
+    """SplitMix64 finalizer: avalanche a 64-bit int, or each of a uint64 array.
+
+    An array is mixed in place, with `scratch` a uint64 array of its shape
+    for the shifts; its arithmetic wraps modulo 2**64, so it is not masked.
+    """
+    for shift, factor in ((30, _MIX1), (27, _MIX2), (31, 1)):
+        if scratch is None:
+            z = (z ^ (z >> shift)) * factor & MASK64
+        else:
+            z ^= np.right_shift(z, shift, out=scratch)
+            if factor != 1:
+                z *= factor
+    return z
 
 
 class Rng:
@@ -93,7 +103,9 @@ class World:
     `data` is one immutable bytes object: the cells packed LSB-first into
     little-endian 64-bit words, row-major, each row padded to a whole number
     of words. Padding bits are always zero, which makes equality a plain
-    bytes compare. `words` is the same store as a tuple of ints.
+    bytes compare, and every buffer a caller passes in is checked for it.
+    `words` is the same store as a tuple of ints. Since `data` is immutable, an
+    evaluator can tell its own readback by the bytes object's identity.
 
     Worlds are immutable once constructed; engines build new ones. Equality
     compares dimensions and cells only, not the generation counter.
@@ -110,12 +122,24 @@ class World:
         except OverflowError:
             raise ValueError("world words must lie in [0, 2**64)") from None
         self._set(width, height, data, generation)
+        self._check_padding()
 
     @classmethod
     def from_bytes(cls, width: int, height: int, data: bytes, generation: int = 0) -> "World":
         """World over `data` in the packed layout; its padding bits must be zero."""
+        world = cls._packed(width, height, bytes(data), generation)
+        world._check_padding()
+        return world
+
+    @classmethod
+    def _packed(cls, width: int, height: int, data: bytes, generation: int = 0) -> "World":
+        """World over bytes whose padding bits are zero by construction, unchecked.
+
+        from_cells and the plane evaluator's readback build such bytes and
+        come here; every buffer a caller passes in goes through from_bytes.
+        """
         world = cls.__new__(cls)
-        world._set(width, height, bytes(data), generation)
+        world._set(width, height, data, generation)
         return world
 
     def _set(self, width, height, data, generation):
@@ -124,14 +148,17 @@ class World:
         n = height * ((width + 63) >> 6)
         if len(data) != 8 * n:
             raise ValueError(f"expected {n} words for {width}x{height}, got {len(data) / 8:g}")
-        if width & 63:  # a row's last word has padding bits
-            last = np.frombuffer(data, dtype="<u8")[n // height - 1::n // height]
-            if int(np.bitwise_or.reduce(last)) >> (width & 63):
-                raise ValueError(f"world sets padding bits at x >= width {width}")
         self.width = width
         self.height = height
         self.generation = generation
         self.data = data
+
+    def _check_padding(self):
+        if self.width & 63:  # a row's last word has padding bits
+            rw = (self.width + 63) >> 6
+            last = np.frombuffer(self.data, dtype="<u8")[rw - 1::rw]
+            if int(np.bitwise_or.reduce(last)) >> (self.width & 63):
+                raise ValueError(f"world sets padding bits at x >= width {self.width}")
 
     @property
     def words(self) -> tuple[int, ...]:
@@ -170,7 +197,7 @@ def from_cells(bits, generation: int = 0) -> World:
     height, width = np.shape(bits)
     octets = np.zeros((height, 8 * ((width + 63) >> 6)), dtype=np.uint8)
     octets[:, :(width + 7) >> 3] = np.packbits(bits, axis=1, bitorder="little")
-    return World.from_bytes(width, height, octets.tobytes(), generation)
+    return World._packed(width, height, octets.tobytes(), generation)  # padding stays 0
 
 
 def parse_pattern(text: str) -> World:
@@ -203,16 +230,15 @@ def parse_pattern(text: str) -> World:
     return from_cells(alive.reshape(len(lines), width))
 
 
-_GLYPHS = np.frombuffer((DEAD_CHAR + ALIVE_CHAR).encode("ascii"), dtype=np.uint8)
-
-
 def serialize_pattern(world: World) -> str:
     """Render a World as plaintext pattern lines, one '\\n' per row.
 
     parse_pattern(serialize_pattern(w)) reproduces w cell-for-cell.
     """
     text = np.full((world.height, world.width + 1), ord("\n"), dtype=np.uint8)
-    text[:, :-1] = _GLYPHS[cells(world)]
+    glyphs = text[:, :-1]  # a cell's glyph is DEAD_CHAR + cell * (ALIVE_CHAR - DEAD_CHAR)
+    np.multiply(cells(world), ord(ALIVE_CHAR) - ord(DEAD_CHAR), out=glyphs)
+    glyphs += ord(DEAD_CHAR)
     return text.tobytes().decode("ascii")
 
 
@@ -237,11 +263,12 @@ def random_world(width: int, height: int, density: float = 0.5, seed: int = 0) -
         return from_cells(np.ones((height, width), dtype=bool))
     n = width * height
     alive = np.empty(n, dtype=bool)
+    gammas = np.arange(1, min(n, _DRAW_BLOCK) + 1, dtype=np.uint64) * _GAMMA  # i * GAMMA
+    draws, scratch = np.empty_like(gammas), np.empty_like(gammas)
     for lo in range(0, n, _DRAW_BLOCK):
-        draws = np.arange(lo + 1, min(n, lo + _DRAW_BLOCK) + 1, dtype=np.uint64)
-        draws *= np.uint64(_GAMMA)
-        draws += np.uint64(seed & MASK64)
-        np.less(mix64(draws), np.uint64(threshold), out=alive[lo:lo + _DRAW_BLOCK])
+        k = min(n - lo, _DRAW_BLOCK)  # draws lo + 1 .. lo + k: (seed + lo * GAMMA) + i * GAMMA
+        np.add(gammas[:k], (seed + lo * _GAMMA) & MASK64, out=draws[:k])
+        np.less(mix64(draws[:k], scratch[:k]), threshold, out=alive[lo:lo + k])
     return from_cells(alive.reshape(height, width))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from lifebench.circuit import _BLOCKS, AND, CONST0, MAJ3, NOT, OR, XOR, XOR3, _signal
-from lifebench.grid import MASK64, Rng, World, cells, from_cells
+from lifebench.grid import MASK64, Rng, World, cells, from_cells, random_world
 
 # Two phases of the beacon oscillator (period 2).
 BEACON_A = (
@@ -148,6 +148,38 @@ def naive_step(world):
                 r |= 1 << x
         rows.append(r)
     return world_from_rows(world.width, world.height, rows, world.generation + 1)
+
+
+_STEPPED = {}  # (width, height, data) -> naive_step's data
+
+
+def naive_steps(world, n):
+    """naive_step applied n times, each step of a given size and cells computed once."""
+    for _ in range(n):
+        key = world.width, world.height, world.data
+        if key not in _STEPPED:
+            _STEPPED[key] = naive_step(world).data
+        world = World.from_bytes(world.width, world.height, _STEPPED[key], world.generation + 1)
+    return world
+
+
+# An int and a plane board of both bit-parallel engines: 65 * 946 bits are
+# past both int limits. world() records the World it returns, a load() of
+# it before any tick is skipped and any other load() clears the record, so
+# each readback-record case must step like naive_step.
+RECORD_SIZES = ((20, 15), (64, 946))
+RECORD_IDS = ("int", "planes")
+
+
+def record_worlds(width, height):
+    """A start world at generation 0 and a foreign one at generation 1."""
+    foreign = random_world(width, height, 0.5, 62)
+    return random_world(width, height, 0.5, 61), World.from_bytes(width, height, foreign.data, 1)
+
+
+def assert_stepped(out, start, steps):
+    expect = naive_steps(start, steps)
+    assert out == expect and out.generation == expect.generation
 
 
 def neighbourhood_world():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (BEACON_A, BEACON_B, bit_rows, cells_of, get_cell, naive_step,
-                     neighbourhood_world, next_cell_state, node_graph, table_step,
-                     tick_in_order, world_from_rows)
+from helpers import (BEACON_A, BEACON_B, RECORD_IDS, RECORD_SIZES, assert_stepped, bit_rows,
+                     cells_of, get_cell, naive_step, neighbourhood_world, next_cell_state,
+                     node_graph, record_worlds, table_step, tick_in_order, world_from_rows)
 from lifebench.circuit import (_BLOCKS, _CELL, _INT_TICK_MAX_BITS, _SYMBOLS, AND, CONST0,
                               KIND_NAMES, MAJ3, NOT, OR, XOR, XOR3, Schedule, SizeMismatch,
                               _IntTick, _PlaneTick, count_resources, elaborate, evaluator)
@@ -377,6 +377,44 @@ def test_every_neighbourhood(schedule, tick):
         count = (pattern & ~(1 << 4)).bit_count()
         assert get_cell(stepped, x, y) == next_cell_state(pattern >> 4 & 1, count), pattern
     assert stepped == naive_step(world)
+
+
+@pytest.mark.parametrize("size", RECORD_SIZES, ids=RECORD_IDS)
+def test_shared_netlist_readbacks(size):
+    # Two engines on one netlist, loading each other's readbacks: the record
+    # lives with the registers, so a load is skipped only while they still
+    # hold the readback.
+    start, _ = record_worlds(*size)
+    netlist = elaborate(*size)
+    assert netlist.describe()["evaluator"] == RECORD_IDS[RECORD_SIZES.index(size)]
+    a, b = CircuitEngine(netlist=netlist), CircuitEngine(netlist=netlist)
+    a.load(start)
+    a.step()
+    back_a = a.world()
+    b.load(back_a)  # the registers hold it
+    b.step()
+    back_b = b.world()
+    a.load(back_a)  # they have ticked since
+    a.step()
+    assert_stepped(a.world(), start, 2)
+    b.load(back_b)  # a.world() read out since, after a tick
+    b.step()
+    assert_stepped(b.world(), start, 3)
+    a.load(back_b)
+    assert_stepped(a.world(), start, 2)
+
+
+@pytest.mark.parametrize("size", RECORD_SIZES, ids=RECORD_IDS)
+def test_netlist_load_between_readback_and_reload(size):
+    start, foreign = record_worlds(*size)
+    netlist = elaborate(*size)
+    engine = CircuitEngine(start, netlist)
+    engine.step()
+    back = engine.world()
+    netlist.load(foreign)  # the readback's generation, other cells
+    engine.load(back)
+    engine.step()
+    assert_stepped(engine.world(), start, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (BEACON_A, BEACON_B, GLIDER, bit_rows, cells_of, crop, embed, get_cell,
-                     naive_step, neighbor_count, next_cell_state, row_ints, row_words,
+from helpers import (BEACON_A, BEACON_B, GLIDER, RECORD_IDS, RECORD_SIZES, assert_stepped,
+                     bit_rows, cells_of, crop, embed, get_cell, naive_step, naive_steps,
+                     neighbor_count, next_cell_state, record_worlds, row_ints, row_words,
                      world_from_cells, world_from_rows)
 from lifebench.circuit import _INT_TICK_MAX_BITS, SizeMismatch, elaborate
 from lifebench.engines import (_INT_STEP_MAX_BITS, ENGINE_KINDS, CircuitEngine, NoWorld,
@@ -196,18 +197,21 @@ def test_bitsliced_planes_match_reference(data):
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
 def test_step_keeps_padding_bits_zero(kind):
     # widths straddling word boundaries; stray bits would break word
-    # equality. A tall world is stepped by the bit-sliced engine on planes.
-    # Live first and last columns show each guard bit the most live cells
-    # it can see (six, for an int's guard bit and for the one padding bit
-    # of a 127-cell plane row, which takes both carries).
+    # equality. A tall world is stepped on planes by both bit-parallel
+    # engines, a short one on an int. Live first and last columns show each
+    # guard bit the most live cells it can see (six, for an int's guard bit
+    # and for the one padding bit of a 127-cell plane row, which takes both
+    # carries). The plane readback builds its World unchecked, so every
+    # world() must also pass World.from_bytes' padding check.
     rng = Rng(414)
-    for w, h in [(63, 3), (64, 3), (65, 3), (100, 2), (63, tall(63)), (127, tall(127)),
-                 (128, tall(128)), (129, tall(129))]:
+    sizes = [(w, h) for w in (1, 63, 64, 65, 127, 128, 500) for h in (3, tall(w))]
+    for w, h in [*sizes, (100, 2), (129, tall(129))]:
         edges = world_from_rows(w, h, [1 | 1 << (w - 1)] * h)
         for world in (random_world(w, h, 0.8, rng.next_u64()), edges):
             stepped = run(kind, world, 2)
             mask = (1 << (64 * row_words(stepped))) - (1 << w)
             assert all(row & mask == 0 for row in row_ints(stepped))
+            assert World.from_bytes(w, h, stepped.data) == stepped
 
 
 def test_run_zero_steps_is_identity():
@@ -390,6 +394,53 @@ def test_class_patch_of_world_reaches_loaded_engines(kind, monkeypatch):
     assert engine.world() == "patched"
 
 
+@pytest.mark.parametrize("size", RECORD_SIZES, ids=RECORD_IDS)
+@pytest.mark.parametrize("kind", ["bitsliced", "circuit"])
+def test_readback_reload_after_foreign_load(kind, size):
+    # The foreign world has the readback's generation, so only the record's
+    # clear on a full load tells the readback's cells from the foreign ones.
+    assert RECORD_SIZES[1][1] >= tall(64)  # planes for the bit-sliced engine
+    start, foreign = record_worlds(*size)
+    engine = make_engine(kind, start)
+    engine.step()
+    back = engine.world()
+    engine.load(foreign)
+    engine.load(back)
+    engine.step()
+    assert_stepped(engine.world(), start, 2)
+
+
+@pytest.mark.parametrize("size", RECORD_SIZES, ids=RECORD_IDS)
+@pytest.mark.parametrize("kind", ["bitsliced", "circuit"])
+def test_readback_reload_after_tick(kind, size):
+    start, _ = record_worlds(*size)
+    engine = make_engine(kind, start)
+    back = engine.world()
+    engine.step()
+    engine.load(back)  # rewinds the tick
+    engine.step()
+    assert_stepped(engine.world(), start, 1)
+    world = start  # World-in/World-out, whose reloads are skipped
+    for _ in range(3):
+        world = run(engine, world, 1)
+    assert_stepped(world, start, 3)
+
+
+@pytest.mark.parametrize("size", RECORD_SIZES, ids=RECORD_IDS)
+@pytest.mark.parametrize("kind", ["bitsliced", "circuit"])
+def test_readback_reload_with_new_generation(kind, size):
+    start, _ = record_worlds(*size)
+    engine = make_engine(kind, start)
+    engine.step()
+    back = engine.world()
+    back.generation = 7
+    engine.load(back)
+    assert engine.world().generation == 7
+    engine.step()
+    out = engine.world()
+    assert out == naive_steps(start, 2) and out.generation == 8
+
+
 def test_plane_steps_allocate_nothing():
     # 20 steps of the bit-sliced plane step and 20 ticks of the circuit's
     # plane tick, after one warm-up call, each peak below one plane's bytes.
@@ -409,3 +460,30 @@ def test_plane_steps_allocate_nothing():
         finally:
             tracemalloc.stop()
         assert peak - base < plane
+
+
+def test_plane_readback_allocates_one_world():
+    # At 500x500 on planes: loading the World that world() just returned
+    # allocates no more than calling a no-op in the same loop, and world()
+    # one World's bytes and a small constant, the World and array views.
+    def peak(calls, call, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(calls):
+                out = call(*args)
+            return tracemalloc.get_traced_memory()[1] - base, out
+        finally:
+            tracemalloc.stop()
+
+    world = random_world(500, 500, 0.5, 7)
+    netlist = elaborate(500, 500)
+    assert netlist.describe()["evaluator"] == "planes"
+    for engine in (make_engine("bitsliced", world), CircuitEngine(world, netlist)):
+        engine.step()
+        back = engine.world()
+        engine.load(back)
+        assert peak(20, engine.load, back) == peak(20, lambda _: None, back)
+        readback, out = peak(1, engine.world)
+        assert out == back
+        assert readback <= len(world.data) + 1024
