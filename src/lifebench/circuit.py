@@ -3,20 +3,21 @@ compiler that steps both bit-parallel engines.
 
 Each cell is one D flip-flop, a popcount adder tree over its eight neighbor
 registers, and rule logic on the 4-bit sum, written once as a table of gate
-blocks. A Netlist replicates the table over the grid, with a constant 0
-for every neighbor input that would fall outside it. The whole world
-updates on every clock tick. A Schedule compiles such a table the way
-synthesis would; the bit-sliced engine's adder chain is a second table,
-compiled the same way. evaluator() binds a schedule to one world size,
-which picks how it runs: a small world is one Python int, a board
+blocks. A Schedule compiles such a table the way synthesis would; the
+bit-sliced engine's adder chain is a second table, compiled the same way.
+evaluator() binds a schedule to one world size, a Netlist: the table
+replicated over the grid, with a constant 0 for every neighbor input that
+would fall outside it, updating the whole world on every clock tick. The
+size picks how it runs: a small world is one Python int, a board
 (_IntTick), ticked by one straight-line function generated from the
 schedule, with no dispatch per op; a larger one is bit-packed uint64
 planes (_PlaneTick), 64 cells per ufunc call with no allocation. Each
-evaluator holds its register layout and its World codec, load() and
-world(), so this module decides both layouts, beside the Schedule that
-numbers the planes. An evaluator records the World it last read out, so
-that loading it straight back, as one-generation World-in/World-out calls
-do, costs nothing (_Evaluator).
+holds its register layout and its World codec, so this module decides
+both layouts, beside the Schedule that numbers the planes. The Netlist
+base checks a loaded World's size, reports the structure (describe()) and
+records the World it last read out, so that loading it straight back, as
+one-generation World-in/World-out calls do, costs nothing. elaborate()
+is the cell table's netlist, powered up all dead.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ KIND_NAMES = ("CONST0", "AND", "OR", "NOT", "XOR", "XOR3", "MAJ3")
 
 
 class SizeMismatch(ValueError):
-    """World dimensions do not match the elaborated netlist."""
+    """World dimensions do not match the netlist's."""
 
 
 # The per-cell circuit, one block per logical signal in dependency order:
@@ -52,7 +53,7 @@ class SizeMismatch(ValueError):
 # neighbor registers are w, self and e of the rows above and below, and w
 # and e of the cell's own row. Three neighbors feed each of two full
 # adders and the last two a half adder; the last block is the register's
-# D input. Netlist compiles this table into its tick and describe() counts
+# D input. _CELL compiles this table into the tick and describe() counts
 # its nodes from it, so the rule is written once.
 _NW, _N, _NE, _SW, _S, _SE = ("w", -1), ("self", -1), ("e", -1), ("w", 1), ("self", 1), ("e", 1)
 _BLOCKS = (
@@ -173,7 +174,8 @@ class Schedule:
     or an earlier block, or one of these read one row up or down,
     (signal, -1) or (signal, 1). Outside the grid an input reads 0.
     int_max_bits is the largest board, height * (width + 1) bits, that
-    evaluator() runs as one int.
+    evaluator() runs as one int; table is the table compiled, which
+    describe() counts.
 
     The table is first synthesized into 2-input gates and NOTs (_lower),
     a full adder's sum and carry one after the other. An XOR3/MAJ3 over
@@ -224,7 +226,7 @@ class Schedule:
     """
 
     def __init__(self, table, int_max_bits: int):
-        self.int_max_bits = int_max_bits
+        self.table, self.int_max_bits = table, int_max_bits
         gates, final, carries = _lower(table)
         live, read, rows, shifted = [], {"self", final}, set(), set()
         for g in range(final, -1, -1):  # the live gates and their dying inputs, last first
@@ -311,7 +313,7 @@ class Schedule:
             else:
                 past.discard(out)
         if any("board" in line for line in lines):
-            lines.insert(2, "board = (1 << ev._height * stride) - 1")
+            lines.insert(2, "board = (1 << ev.height * stride) - 1")
         scope = {}
         source = "\n    ".join([*lines, "ev._r = r0", "ev.generation += 1\n"])
         exec(compile(source, "<int tick>", "exec"), scope)
@@ -333,40 +335,54 @@ _INT_TICK_MAX_BITS = 3 << 14
 _CELL = Schedule(_BLOCKS, _INT_TICK_MAX_BITS)
 
 
-def evaluator(schedule: Schedule, width: int, height: int):
+def evaluator(schedule: Schedule, width: int, height: int) -> Netlist:
     """The schedule bound to a width x height world, on ints or on planes.
 
     A board of at most schedule.int_max_bits bits ticks as one Python int
-    (_IntTick), a larger one on uint64 planes (_PlaneTick). Either has
-    load(world), tick(), world() and generation, the loaded world's
-    generation plus the ticks since, and reports its name, ops_per_tick
-    and plane_bytes. A load() of the World that world() last returned, if
-    nothing has ticked since, is free (_Evaluator).
+    (_IntTick), a larger one on uint64 planes (_PlaneTick). Either reports
+    its name, ops_per_tick and plane_bytes.
     """
     small = height * (width + 1) <= schedule.int_max_bits
     return (_IntTick if small else _PlaneTick)(schedule, width, height)
 
 
-class _Evaluator:
-    """load() and world() over an evaluator's _load() and _world() codec,
-    with the record that lets a World go out and straight back in for free.
+class Netlist:
+    """A schedule bound to one world size: its table's registers and gates,
+    replicated over the grid. evaluator() builds one, an _IntTick or a
+    _PlaneTick, which adds tick() and its layout's codec, _load() and
+    _world(), under load() and world() here.
+
+    load() overwrites the registers with a world of this size; world()
+    returns them as a World whose generation is the loaded one's plus the
+    ticks since. Each block reads only registers and earlier blocks, and
+    the registers are overwritten by the last step alone, so no register
+    update is visible before the simultaneous latch. Do not tick an
+    instance from two threads at once; distinct netlists are independent.
 
     world() records the bytes object it returns and the generation. load()
     returns at once when the world's data is that object, its generation
-    the recorded one and the recorded one still the evaluator's: bytes are
+    the recorded one and the recorded one still the netlist's: bytes are
     immutable, so the same object holds the same cells, and a tick always
     advances the generation, so nothing has ticked since the readback. Any
-    other load() clears the record and overwrites the registers. The
-    record lives here, with the registers, as two engines may share one
-    netlist and Netlist.load() may be called directly.
+    other load() checks the size, clears the record and overwrites the
+    registers. The record lives here, with the registers, as two engines
+    may share one netlist and its load() may be called directly.
     """
 
     _readback = _readback_generation = None
+
+    def __init__(self, schedule: Schedule, width: int, height: int):
+        self.width, self.height, self._table = width, height, schedule.table
+        self.n_registers = width * height
+        self.n_comb_nodes = 1 + len(self._table) * self.n_registers  # the gates and one constant 0
 
     def load(self, world: World) -> None:
         if (world.data is self._readback
                 and world.generation == self._readback_generation == self.generation):
             return
+        if (world.width, world.height) != (self.width, self.height):
+            raise SizeMismatch(
+                f"netlist is {self.width}x{self.height}, world is {world.width}x{world.height}")
         self._readback = None
         self._load(world)
         self.generation = world.generation
@@ -376,8 +392,27 @@ class _Evaluator:
         self._readback, self._readback_generation = world.data, world.generation
         return world
 
+    def describe(self) -> dict:
+        """The netlist's structure, from its table and the compiled tick.
 
-class _IntTick(_Evaluator):
+        nodes: node count per kind of the table replicated over the grid,
+        with one shared constant 0 (REG for the registers); depth: logic
+        depth in gate levels from the registers to their D inputs;
+        evaluator: "int" or "planes"; ops_per_tick: the operator or ufunc
+        calls per clock; plane_bytes: bytes of the flat planes the tick
+        evaluates into, the NOT mask included (not the row planes), 0 on
+        an int.
+        """
+        nodes = {"REG": self.n_registers, **dict.fromkeys(KIND_NAMES, 0), "CONST0": 1}
+        level = dict.fromkeys(("w", "self", "e"), 0)
+        for name, kind, sources in self._table:
+            nodes[KIND_NAMES[kind]] += self.n_registers
+            level[name] = 1 + max(level[_signal(src)[0]] for src in sources)
+        return {"nodes": nodes, "depth": max(level.values()), "evaluator": self.name,
+                "ops_per_tick": self.ops_per_tick, "plane_bytes": self.plane_bytes}
+
+
+class _IntTick(Netlist):
     """The registers as one int, a board, and Schedule.int_tick over it.
 
     A board holds cell (x, y) at bit y * (width + 1) + x. The guard bit x =
@@ -387,14 +422,15 @@ class _IntTick(_Evaluator):
     last row. A tick is one call, with no dispatch per gate step, but
     CPython still allocates an int per op. The codec unpacks the World's
     rows into width + 1 bits and packs them back: world() builds its World
-    with from_cells, and load() of the last readback is skipped (_Evaluator).
+    with from_cells, and load() of the last readback is skipped (Netlist).
     """
 
     name = "int"
     plane_bytes = 0
 
     def __init__(self, schedule: Schedule, width: int, height: int):
-        self._width, self._height, self._stride = width, height, width + 1
+        super().__init__(schedule, width, height)
+        self._stride = width + 1
         mask, rows = (1 << width) - 1, 1
         while rows < height:  # double the rows that are set
             mask |= mask << (rows * self._stride)
@@ -409,17 +445,17 @@ class _IntTick(_Evaluator):
         self._r = int.from_bytes(np.packbits(plane, bitorder="little").tobytes(), "little")
 
     def _world(self) -> World:
-        n = self._height * self._stride
+        n = self.height * self._stride
         octets = np.frombuffer(self._r.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
-        plane = np.unpackbits(octets, count=n, bitorder="little").reshape(self._height, -1)
-        return from_cells(plane[:, :self._width], self.generation)
+        plane = np.unpackbits(octets, count=n, bitorder="little").reshape(self.height, -1)
+        return from_cells(plane[:, :self.width], self.generation)
 
 
 # Bytes per page: the unit every plane of a _PlaneTick is aligned and spaced to.
 _PAGE = 4096
 
 
-class _PlaneTick(_Evaluator):
+class _PlaneTick(Netlist):
     """The registers as bit-packed uint64 planes, and the gate steps over them.
 
     A plane is one flat array of height * stride words, stride the words
@@ -428,7 +464,7 @@ class _PlaneTick(_Evaluator):
     registers are World.data word for word, and load() and world() are one
     copy each. Their padding bits stay 0 (Schedule), so world() builds its
     World with the unchecked World._packed, and load() of the last readback
-    is skipped (_Evaluator). A row plane adds an all-zero row above and
+    is skipped (Netlist). A row plane adds an all-zero row above and
     below, so the rows above and below any row are flat offset views of
     it. The registers are row plane 0's interior; the mask is 1 on the
     cells.
@@ -451,9 +487,9 @@ class _PlaneTick(_Evaluator):
     name = "planes"
 
     def __init__(self, schedule: Schedule, width: int, height: int):
+        super().__init__(schedule, width, height)
         n_rows = schedule.n_rows
         rw = (width + 63) >> 6
-        self._width, self._height = width, height
         stride = (width + 64) >> 6
         size = height * stride
         page = _PAGE // 8  # words
@@ -502,62 +538,12 @@ class _PlaneTick(_Evaluator):
 
     def _world(self) -> World:
         data = self._regs.astype("<u8", copy=False).tobytes()  # off the cells the registers are 0
-        return World._packed(self._width, self._height, data, self.generation)
+        return World._packed(self.width, self.height, data, self.generation)
 
     def tick(self) -> None:
         for op, args in self._ops:
             op(*args)
         self.generation += 1
-
-
-class Netlist:
-    """The cell table's registers and gates, replicated over one world size.
-
-    A tick runs the cell table's schedule on evaluator(), which the
-    world's size picks: tick and world are the evaluator's own tick and
-    world, which returns the registers as a World whose generation is the
-    loaded one's plus the ticks since. Each block reads only registers and
-    earlier blocks, and the registers are overwritten by the last step
-    alone, so no register update is visible before the simultaneous latch.
-    A new netlist powers up all dead. Use elaborate() to build one. Do not
-    tick an instance from two threads at once; distinct netlists are
-    independent.
-    """
-
-    def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        self.n_registers = width * height
-        self.n_comb_nodes = 1 + len(_BLOCKS) * self.n_registers  # the gates and one constant 0
-        self._eval = evaluator(_CELL, width, height)
-        self.tick, self.world = self._eval.tick, self._eval.world
-        self._eval.load(World.empty(width, height))
-
-    def load(self, world: World) -> None:
-        """Overwrite register state with a world of matching size."""
-        if (world.width, world.height) != (self.width, self.height):
-            raise SizeMismatch(
-                f"netlist is {self.width}x{self.height}, world is {world.width}x{world.height}")
-        self._eval.load(world)
-
-    def describe(self) -> dict:
-        """The netlist's structure, from the cell table and the compiled tick.
-
-        nodes: node count per kind of the cell table replicated over the
-        grid, with one shared constant 0 (REG for the registers); depth:
-        logic depth in gate levels from the registers to their D inputs;
-        evaluator: "int" or "planes"; ops_per_tick: the evaluator's
-        operator or ufunc calls per clock; plane_bytes: bytes of the flat
-        planes the tick evaluates into, the NOT mask included (not the row
-        planes), 0 for the int evaluator.
-        """
-        nodes = {"REG": self.n_registers, **dict.fromkeys(KIND_NAMES, 0), "CONST0": 1}
-        level = dict.fromkeys(("w", "self", "e"), 0)
-        for name, kind, sources in _BLOCKS:
-            nodes[KIND_NAMES[kind]] += self.n_registers
-            level[name] = 1 + max(level[_signal(src)[0]] for src in sources)
-        return {"nodes": nodes, "depth": max(level.values()), "evaluator": self._eval.name,
-                "ops_per_tick": self._eval.ops_per_tick, "plane_bytes": self._eval.plane_bytes}
 
 
 def elaborate(width: int, height: int) -> Netlist:
@@ -569,7 +555,9 @@ def elaborate(width: int, height: int) -> Netlist:
     """
     if width < 1 or height < 1:
         raise ValueError(f"netlist dimensions must be >= 1, got {width}x{height}")
-    return Netlist(width, height)
+    netlist = evaluator(_CELL, width, height)
+    netlist.load(World.empty(width, height))
+    return netlist
 
 
 def count_resources(netlist: Netlist) -> tuple[int, int]:

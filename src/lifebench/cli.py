@@ -87,9 +87,9 @@ def _input_spec(token: str) -> tuple[str, str]:
     label, sep, path = token.partition("=")
     if not sep:
         label, path = Path(token).stem, token
-    if not label:
+    if not (label and path):
         raise argparse.ArgumentTypeError(
-            f"expected --input [LABEL=]PATH with a nonempty label, got {token!r}")
+            f"expected --input [LABEL=]PATH with a nonempty label and path, got {token!r}")
     return label, path
 
 
@@ -183,6 +183,8 @@ def cmd_report(args) -> int:
     if args.published:
         device_samples.update(published_samples())
     for label, path in args.input or []:
+        if label in device_samples:
+            raise InputError(f"device label {label!r} is given twice")
         device_samples[label] = _read(path, bench.read_csv, "CSV")
     if not device_samples:
         raise InputError("no input samples (give --input or --published)")

@@ -5,15 +5,18 @@
   tests from the inner loop.
 * BitSlicedEngine: every cell is updated at once with word-wide boolean
   adder chains, written as a cell table that the circuit module compiles
-  and evaluates like the netlist's: on one arbitrary-precision integer for
-  a small world and on bit-packed uint64 planes for a larger one.
+  and binds to the world's size like the netlist's: on one
+  arbitrary-precision integer for a small world and on bit-packed uint64
+  planes for a larger one.
 * CircuitEngine: drives the synchronous netlist from the circuit module,
   one clock tick per step.
 
 All three produce bit-identical world sequences from the same start.
 They share one load/step/world shell, _Engine, and differ only in the
-per-size state it loads and steps; step() and world() raise NoWorld
-until the first load().
+per-size state it loads and steps: a halo grid, or a circuit.Netlist of
+the bit-sliced table or of the cell table, which checks the size, reads
+back and reports its structure (describe()) for both. step() and world()
+raise NoWorld until the first load().
 
 Engine instances are single-threaded (no concurrent step calls); distinct
 instances are independent, and Worlds move freely between threads.
@@ -171,31 +174,31 @@ class BitSlicedEngine(_Engine):
     expression over them. Bits shifted in from outside the grid are 0, the
     same fixed dead boundary as the halo in the reference engine.
 
-    The step is _TABLE, compiled and evaluated by the circuit module like
-    the netlist's cell table, on circuit.evaluator() for the world's size:
-    one int for a small board, uint64 planes for a larger one.
+    The step is _TABLE, compiled by the circuit module like the netlist's
+    cell table and bound to the world's size by circuit.evaluator(): one
+    int for a small board, uint64 planes for a larger one.
     """
 
     kind = "bitsliced"
 
-    def _new(self, width: int, height: int):
+    def _new(self, width: int, height: int) -> _circuit.Netlist:
         return _circuit.evaluator(_SCHEDULE, width, height)
 
 
 class CircuitEngine(_Engine):
     """Synchronous-circuit emulation: one netlist clock tick per step.
 
-    A netlist elaborated for another size is rejected; without a fixed
-    netlist one is elaborated (and reused) for the loaded world's size.
+    A world of another size than a fixed netlist's raises SizeMismatch;
+    without one a netlist is elaborated (and reused) for the world's size.
     """
 
     kind = "circuit"
 
-    def __init__(self, world: World | None = None, netlist: "_circuit.Netlist | None" = None):
+    def __init__(self, world: World | None = None, netlist: _circuit.Netlist | None = None):
         self._fixed = netlist  # the one netlist this engine steps, if given
         super().__init__(world)
 
-    def _new(self, width: int, height: int) -> "_circuit.Netlist":
+    def _new(self, width: int, height: int) -> _circuit.Netlist:
         return self._fixed or _circuit.elaborate(width, height)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -154,6 +155,21 @@ def test_load_size_mismatch():
         elaborate(4, 4).load(World.empty(4, 5))
 
 
+@pytest.mark.parametrize("schedule", [_CELL, _SCHEDULE], ids=["circuit", "bitsliced"])
+@pytest.mark.parametrize("name, size, other", [
+    ("int", (40, 10), (30, 10)), ("int", (12, 5), (5, 12)),
+    ("planes", (500, 500), (450, 500)), ("planes", (500, 500), (500, 400))],
+    ids=["int-narrower", "int-transposed", "planes-narrower", "planes-shorter"])
+def test_evaluator_load_size_mismatch(schedule, name, size, other):
+    # Every evaluator checks the size where its registers are: a World of
+    # fewer or transposed cells must not load into a larger board or planes.
+    ev, world = evaluator(schedule, *size), random_world(*size, 0.5, 3)
+    ev.load(world)
+    with pytest.raises(SizeMismatch):
+        ev.load(random_world(*other, 0.5, 4))
+    assert (ev.name, ev.world()) == (name, world)
+
+
 def test_tick_order_insensitive():
     # Latching must not depend on the order combinational nodes settle.
     # These worlds tick on one int, so a cell shifted into a guard bit would
@@ -182,30 +198,40 @@ def tall(width):
     return _INT_TICK_MAX_BITS // (width + 1) + 1
 
 
-def test_describe_pinned():
+@pytest.mark.parametrize("make, max_bits, per_cell, depth, int_ops, plane_ops", [
+    # The cell table. As ints: the w and e shifts, 5 row shifts and 25
+    # gates, whatever the width. On planes: 2 shifts, the same 25 gate
+    # steps, plus 4 carry ops when a row spans more than one word.
+    (elaborate, _INT_TICK_MAX_BITS, {"AND": 5, "OR": 2, "NOT": 1, "XOR": 3, "XOR3": 4, "MAJ3": 4},
+     8, 32, (27, 31)),
+    # The bit-sliced table: 2 register shifts, 4 row shifts and 20 gates as
+    # ints; 2 shifts (6 with the carries) and the 20 gates on planes.
+    (partial(evaluator, _SCHEDULE), _INT_STEP_MAX_BITS,
+     {"AND": 4, "OR": 2, "NOT": 1, "XOR": 3, "XOR3": 2, "MAJ3": 2}, 7, 26, (22, 26)),
+], ids=["circuit", "bitsliced"])
+def test_describe_pinned(make, max_bits, per_cell, depth, int_ops, plane_ops):
     for width, height in [(2, 2), (70, 3)]:
-        n = elaborate(width, height)
+        n = make(width, height)
         r = n.n_registers
-        info, kinds = n.describe(), node_graph(n)[0]
-        assert info["nodes"] == {"REG": r, "CONST0": 1, "AND": 5 * r, "OR": 2 * r, "NOT": r,
-                                 "XOR": 3 * r, "XOR3": 4 * r, "MAJ3": 4 * r}
+        info = n.describe()
+        assert info["nodes"] == {"REG": r, "CONST0": 1, **{k: c * r for k, c in per_cell.items()}}
         assert sum(info["nodes"].values()) == r + n.n_comb_nodes
-        for name, count in info["nodes"].items():
-            if name != "REG":
-                assert np.count_nonzero(kinds == KIND_NAMES.index(name)) == count
-        assert info["depth"] == 8 == comb_level(n).max()
-        # The w and e shifts, 5 row shifts and 25 gates, whatever the width
-        assert (info["evaluator"], info["ops_per_tick"], info["plane_bytes"]) == ("int", 32, 0)
-    # On planes: 2 shifts, the same 25 gate steps, plus 4 carry ops when a
-    # row spans more than one word.
-    for width in (1, 64):
-        info = elaborate(width, tall(width)).describe()
-        assert (info["evaluator"], info["ops_per_tick"]) == ("planes", 27)
-    for width in (65, 1000):
-        info = elaborate(width, tall(width)).describe()
-        assert (info["evaluator"], info["ops_per_tick"]) == ("planes", 31)
+        assert info["depth"] == depth
+        if make is elaborate:  # node_graph builds the cell table's gates
+            kinds = node_graph(n)[0]
+            for name, count in info["nodes"].items():
+                if name != "REG":
+                    assert np.count_nonzero(kinds == KIND_NAMES.index(name)) == count
+            assert comb_level(n).max() == depth
+        assert (info["evaluator"], info["ops_per_tick"], info["plane_bytes"]) == ("int", int_ops, 0)
+    for width, ops in ((1, plane_ops[0]), (64, plane_ops[0]), (65, plane_ops[1]),
+                       (1000, plane_ops[1])):
+        info = make(width, max_bits // (width + 1) + 1).describe()
+        assert (info["evaluator"], info["ops_per_tick"]) == ("planes", ops)
+    # Both tables' 4 flat planes and the mask, 8 words a row at 500x500
+    assert make(500, 500).describe()["plane_bytes"] == 5 * 500 * 8 * 8 == 160000
     plane = 1000 * 16 * 8  # one uint64 plane of a 1000x1000 world
-    assert elaborate(1000, 1000).describe()["plane_bytes"] <= 10 * plane
+    assert make(1000, 1000).describe()["plane_bytes"] <= 10 * plane
 
 
 # engines._SCHEDULE's steps as (operator, (a, b, out)), pinned from the

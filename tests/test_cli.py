@@ -450,6 +450,29 @@ def test_report_empty_label_exit_2(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
 
+@pytest.mark.parametrize("label, argv", [
+    ("run", ["--input", "DIR/a/run.csv", "--input", "DIR/b/run.csv"]),  # both default to the stem
+    ("mac", ["--published", "--input", "mac=DIR/a/run.csv"]),
+])
+def test_report_label_given_twice_exit_2(tmp_path, capsys, label, argv):
+    # A second set of samples under one label would silently replace the first.
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        bench_csv(tmp_path / d, "run.csv", [(10, 10, 100, 250_000), (20, 20, 100, 900_000)])
+    code, out, err = run_cli(["report", *(arg.replace("DIR", str(tmp_path)) for arg in argv)],
+                             capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: device label {label!r} is given twice\n"
+
+
+def test_report_empty_input_path_exit_2(capsys):
+    code, out, err = run_cli(["report", "--input", "lab="], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "nonempty label and path" in err
+
+
 def test_report_ns_per_step_mismatch_exit_2(tmp_path, capsys):
     path = tmp_path / "mism.csv"
     path.write_text("width,height,cells,engine,steps,total_ns,ns_per_step\n"
