@@ -8,8 +8,8 @@ bit-sliced engine's adder chain is a second table, compiled the same way.
 evaluator() binds a schedule to one world size, a Netlist: the table
 replicated over the grid, with a constant 0 for every neighbor input that
 would fall outside it, updating the whole world on every clock tick. The
-size picks how it runs: a small world is one Python int, a board
-(_IntTick), ticked by one straight-line function generated from the
+world's shape picks how it runs: a small world is one Python int, a
+board (_IntTick), ticked by one straight-line function generated from the
 schedule, with no dispatch per op; a larger one is bit-packed uint64
 planes (_PlaneTick), 64 cells per ufunc call with no allocation. Each
 holds its register layout and its World codec, so this module decides
@@ -173,9 +173,7 @@ class Schedule:
     register), "w" or "e" (the register of the cell to the west or east)
     or an earlier block, or one of these read one row up or down,
     (signal, -1) or (signal, 1). Outside the grid an input reads 0.
-    int_max_bits is the largest board, height * (width + 1) bits, that
-    evaluator() runs as one int; table is the table compiled, which
-    describe() counts.
+    table is the table compiled, which describe() counts.
 
     The table is first synthesized into 2-input gates and NOTs (_lower),
     a full adder's sum and carry one after the other. An XOR3/MAJ3 over
@@ -225,8 +223,8 @@ class Schedule:
       the registers stay 0 off the cells.
     """
 
-    def __init__(self, table, int_max_bits: int):
-        self.table, self.int_max_bits = table, int_max_bits
+    def __init__(self, table):
+        self.table = table
         gates, final, carries = _lower(table)
         live, read, rows, shifted = [], {"self", final}, set(), set()
         for g in range(final, -1, -1):  # the live gates and their dying inputs, last first
@@ -320,29 +318,27 @@ class Schedule:
         return scope["tick"]
 
 
-# Largest board, height * (width + 1) bits, that the cell table ticks as
-# one int: an int op's cost grows with the board, a ufunc call's barely up
-# to 100x100. Per-tick time, int / planes, median of three runs of 11
-# interleaved rounds on a 2-vCPU Xeon, Python 3.11, numpy 2.4
-# (BENCH_circuit_synth.json):
-#   100x100   8 / 16 us    210x210  20 / 25 us    220x220  23 / 23 us
-#   225x225  24 / 23 us    230x230  27 / 29 us    300x300  44 / 29 us
-# The int tick won 29 of the 33 rounds at 210x210, 17 at 220x220 and at
-# 225x225, and 9 at 230x230, so 3 << 14 bits (about 221x221) still sits
-# at the crossover.
-_INT_TICK_MAX_BITS = 3 << 14
-
-_CELL = Schedule(_BLOCKS, _INT_TICK_MAX_BITS)
+_CELL = Schedule(_BLOCKS)
 
 
 def evaluator(schedule: Schedule, width: int, height: int) -> Netlist:
     """The schedule bound to a width x height world, on ints or on planes.
 
-    A board of at most schedule.int_max_bits bits ticks as one Python int
-    (_IntTick), a larger one on uint64 planes (_PlaneTick). Either reports
-    its name, ops_per_tick and plane_bytes.
+    A board ticks as one Python int (_IntTick) while its height * (width
+    + 1) bits are at most 2**15 plus 16 per word of one uint64 plane,
+    height * ((width + 64) >> 6); a larger one ticks on planes (_PlaneTick).
+    Either reports its name, ops_per_tick and plane_bytes.
     """
-    small = height * (width + 1) <= schedule.int_max_bits
+    # An int op pays per bit of the board and a ufunc call per word of a
+    # plane, alike for either table, so the shape decides: a board narrower
+    # than 16 columns, at most 16 bits a word, is an int at any height, and
+    # squares switch at 215x215. BENCH_int_limit.json times both evaluators
+    # in paired rounds at 66 shapes for each table, squares from 200x200 to
+    # 247x247 and widths 2 to 1000 at 25k to 200k bits: the int tick is up
+    # to x13 faster (2x66666), the planes up to x2.4 (63x3125), and this
+    # rule picks the faster one, or one within x1.09 of it, at every point.
+    words = height * ((width + 64) >> 6)
+    small = height * (width + 1) <= (1 << 15) + 16 * words
     return (_IntTick if small else _PlaneTick)(schedule, width, height)
 
 

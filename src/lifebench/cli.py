@@ -188,25 +188,31 @@ def cmd_report(args) -> int:
         device_samples[label] = _read(path, bench.read_csv, "CSV")
     if not device_samples:
         raise InputError("no input samples (give --input or --published)")
-    profiles = dict(DEFAULT_PROFILES)
+    profiles, powered = dict(DEFAULT_PROFILES), set()
     for label, watts in args.power or []:
+        if label in powered:
+            raise InputError(f"--power label {label!r} is given twice")
+        if label not in device_samples and label != "fpga":
+            raise InputError(f"--power label {label!r} names no device of the report")
+        powered.add(label)
         profiles[label] = PowerProfile(label, watts, "command line")
     rows = comparison_table(device_samples, profiles=profiles)
-    plot_dir = Path(f"{args.plot_data}_").parent if args.plot_data else None
-    if plot_dir and not plot_dir.is_dir():  # fail before the table is printed
-        raise FileNotFoundError(f"no such directory: {plot_dir}")
+    plots = {device: [Path(f"{args.plot_data}_{device}{end}") for end in (".csv", "_fit.csv")]
+             for device in sorted(device_samples)} if args.plot_data else {}
+    for path in (path for paths in plots.values() for path in paths):
+        if not path.parent.is_dir():  # fail before the table is printed
+            raise FileNotFoundError(f"no such directory: {path.parent}")
     sys.stdout.write(comparison_csv(rows) if args.format == "csv"
                      else comparison_markdown(rows))
 
-    if args.plot_data:
-        for device, samples in sorted(device_samples.items()):
-            points, fit = bench.plot_data(samples)
-            if fit is None:
-                print(f"warning: {device}: need at least two sizes for a trend line",
-                      file=sys.stderr)
-            Path(f"{args.plot_data}_{device}.csv").write_text(points, encoding="ascii")
-            if fit is not None:
-                Path(f"{args.plot_data}_{device}_fit.csv").write_text(fit, encoding="ascii")
+    for device, (points_path, fit_path) in plots.items():
+        points, fit = bench.plot_data(device_samples[device])
+        if fit is None:
+            print(f"warning: {device}: need at least two sizes for a trend line",
+                  file=sys.stderr)
+        points_path.write_text(points, encoding="ascii")
+        if fit is not None:
+            fit_path.write_text(fit, encoding="ascii")
     return EXIT_OK
 
 

@@ -53,18 +53,7 @@ _TABLE = (
     ("next", AND, ("is23", "b0_or_self")),          # next cell state
 )
 
-# Largest board, height * (width + 1) bits, that _TABLE steps as one int.
-# Per-step time, int / planes, as for circuit._INT_TICK_MAX_BITS, measured
-# on the 16-block table (the 14-block one still steps 240x240 faster on
-# one int: BENCH_bitsliced_rule.json):
-#   100x100   5 / 13 us    225x225  17 / 20 us    235x235  18 / 18 us
-#   245x245  19 / 20 us    250x250  20 / 19 us    300x300  29 / 25 us
-# The int step won every quiet run up to 245x245 and the planes every one
-# from 250x250 (62,750 bits) on. Under the circuit's limit, 222x222 to
-# 240x240 would step up to 19% slower than on one int, so each table
-# keeps its own limit.
-_INT_STEP_MAX_BITS = 15 << 12  # 61,440 bits: up to 247x247
-_SCHEDULE = _circuit.Schedule(_TABLE, _INT_STEP_MAX_BITS)
+_SCHEDULE = _circuit.Schedule(_TABLE)
 
 
 class NoWorld(ValueError):

@@ -163,11 +163,21 @@ def naive_steps(world, n):
     return world
 
 
-# An int and a plane board of both bit-parallel engines: 65 * 946 bits are
-# past both int limits. world() records the World it returns, a load() of
-# it before any tick is skipped and any other load() clears the record, so
-# each readback-record case must step like naive_step.
-RECORD_SIZES = ((20, 15), (64, 946))
+def tall(width):
+    """The height of the shortest board of this width that circuit.evaluator()
+    ticks on planes, for either table: the first at which height * (width +
+    1) bits are more than 2**15 plus 16 per plane word. None below 16
+    columns, where a row holds at most 16 bits a word and every height
+    ticks on an int."""
+    over = width + 1 - 16 * ((width + 64) >> 6)  # the bits a row holds past 16 a word
+    return (1 << 15) // over + 1 if over > 0 else None
+
+
+# An int and a plane board of both bit-parallel engines: 64x993 is
+# tall(64). world() records the World it returns, a load() of it before any
+# tick is skipped and any other load() clears the record, so each
+# readback-record case must step like naive_step.
+RECORD_SIZES = ((20, 15), (64, 993))
 RECORD_IDS = ("int", "planes")
 
 

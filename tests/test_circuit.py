@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from helpers import (BEACON_A, BEACON_B, RECORD_IDS, RECORD_SIZES, assert_stepped, bit_rows,
                      cells_of, get_cell, naive_step, neighbourhood_world, next_cell_state,
-                     node_graph, record_worlds, table_step, tick_in_order, world_from_rows)
-from lifebench.circuit import (_BLOCKS, _CELL, _INT_TICK_MAX_BITS, _SYMBOLS, AND, CONST0,
-                              KIND_NAMES, MAJ3, NOT, OR, XOR, XOR3, Schedule, SizeMismatch,
-                              _IntTick, _PlaneTick, count_resources, elaborate, evaluator)
-from lifebench.engines import _INT_STEP_MAX_BITS, _SCHEDULE, _TABLE, CircuitEngine, run
+                     node_graph, record_worlds, table_step, tall, tick_in_order,
+                     world_from_rows)
+from lifebench.circuit import (_BLOCKS, _CELL, _SYMBOLS, AND, CONST0, KIND_NAMES, MAJ3, NOT, OR,
+                              XOR, XOR3, Schedule, SizeMismatch, _IntTick, _PlaneTick,
+                              count_resources, elaborate, evaluator)
+from lifebench.engines import _SCHEDULE, _TABLE, CircuitEngine, run
 from lifebench.grid import World, parse_pattern, population, random_world
 from lifebench.refdata import (REGISTER_OVERHEAD, CalibrationTable, CalRow, OutOfRange,
                                estimate_resources, fpga_time_model, load_calibration)
@@ -193,23 +194,18 @@ def test_tick_order_insensitive():
             assert n.world() == expected
 
 
-def tall(width):
-    """Height of the shortest world of this width that ticks on planes."""
-    return _INT_TICK_MAX_BITS // (width + 1) + 1
-
-
-@pytest.mark.parametrize("make, max_bits, per_cell, depth, int_ops, plane_ops", [
+@pytest.mark.parametrize("make, per_cell, depth, int_ops, plane_ops", [
     # The cell table. As ints: the w and e shifts, 5 row shifts and 25
     # gates, whatever the width. On planes: 2 shifts, the same 25 gate
     # steps, plus 4 carry ops when a row spans more than one word.
-    (elaborate, _INT_TICK_MAX_BITS, {"AND": 5, "OR": 2, "NOT": 1, "XOR": 3, "XOR3": 4, "MAJ3": 4},
+    (elaborate, {"AND": 5, "OR": 2, "NOT": 1, "XOR": 3, "XOR3": 4, "MAJ3": 4},
      8, 32, (27, 31)),
     # The bit-sliced table: 2 register shifts, 4 row shifts and 20 gates as
     # ints; 2 shifts (6 with the carries) and the 20 gates on planes.
-    (partial(evaluator, _SCHEDULE), _INT_STEP_MAX_BITS,
-     {"AND": 4, "OR": 2, "NOT": 1, "XOR": 3, "XOR3": 2, "MAJ3": 2}, 7, 26, (22, 26)),
+    (partial(evaluator, _SCHEDULE), {"AND": 4, "OR": 2, "NOT": 1, "XOR": 3, "XOR3": 2, "MAJ3": 2},
+     7, 26, (22, 26)),
 ], ids=["circuit", "bitsliced"])
-def test_describe_pinned(make, max_bits, per_cell, depth, int_ops, plane_ops):
+def test_describe_pinned(make, per_cell, depth, int_ops, plane_ops):
     for width, height in [(2, 2), (70, 3)]:
         n = make(width, height)
         r = n.n_registers
@@ -224,9 +220,9 @@ def test_describe_pinned(make, max_bits, per_cell, depth, int_ops, plane_ops):
                     assert np.count_nonzero(kinds == KIND_NAMES.index(name)) == count
             assert comb_level(n).max() == depth
         assert (info["evaluator"], info["ops_per_tick"], info["plane_bytes"]) == ("int", int_ops, 0)
-    for width, ops in ((1, plane_ops[0]), (64, plane_ops[0]), (65, plane_ops[1]),
+    for width, ops in ((63, plane_ops[0]), (64, plane_ops[0]), (65, plane_ops[1]),
                        (1000, plane_ops[1])):
-        info = make(width, max_bits // (width + 1) + 1).describe()
+        info = make(width, tall(width)).describe()
         assert (info["evaluator"], info["ops_per_tick"]) == ("planes", ops)
     # Both tables' 4 flat planes and the mask, 8 words a row at 500x500
     assert make(500, 500).describe()["plane_bytes"] == 5 * 500 * 8 * 8 == 160000
@@ -261,10 +257,10 @@ def test_schedules_pinned():
     assert [(_SYMBOLS[ufunc], args) for ufunc, args in _SCHEDULE.steps] == list(BITSLICED_STEPS)
     assert (_SCHEDULE.west, _SCHEDULE.east, _SCHEDULE.carry) == (0, 1, 2)
     assert (len(_SCHEDULE.steps), _SCHEDULE.n_rows, _SCHEDULE.n_flat) == (20, 3, 4)
-    for width, ops in ((1, 22), (64, 22), (65, 26), (1000, 26)):
+    for width, ops in ((63, 22), (64, 22), (65, 26), (1000, 26)):
         small = evaluator(_SCHEDULE, width, 3)
         assert (small.name, small.ops_per_tick, small.plane_bytes) == ("int", 26, 0)
-        big = evaluator(_SCHEDULE, width, _INT_STEP_MAX_BITS // (width + 1) + 1)
+        big = evaluator(_SCHEDULE, width, tall(width))
         assert (big.name, big.ops_per_tick) == ("planes", ops)
 
 
@@ -295,7 +291,7 @@ def test_hoisting_stops_at_the_not():
     # would read 0 below the last row, where NOT(0) is 1.
     table = on_cells(("a", AND, (("w", 1), ("e", 1))), ("n", NOT, (("e", 1),)),
                      ("x", OR, ("a", "n")))
-    schedule = Schedule(table, 1)
+    schedule = Schedule(table)
     (_, hoisted), (_, negated), (_, joined), *_ = schedule.steps
     assert isinstance(schedule.east, tuple) and hoisted[:2] == (schedule.west, schedule.east)
     assert negated[:2] == ((schedule.east[0], 1), "mask")
@@ -307,7 +303,7 @@ def test_hashing_shares_a_gate():
     # a, b and u one row down are one gate: w & e, computed once.
     table = on_cells(("a", AND, ("w", "e")), ("b", AND, ("e", "w")),
                      ("u", AND, (("w", -1), ("e", -1))), ("x", XOR, ("b", "u")))
-    schedule = Schedule(table, 1)
+    schedule = Schedule(table)
     assert len(schedule.steps) == 5  # w & e, x and the 3 gates of on_cells
     (_, shared), (ufunc, (b, u, _)), *_ = schedule.steps
     assert (ufunc, b, u) == (np.bitwise_xor, shared[2], (shared[2][0], -1))
@@ -324,7 +320,7 @@ def test_identities_need_a_half_adder(carry, steps):
                      ("d", AND, ("e", "self")), ("k", XOR, ("t", "d")), ("o", OR, ("s", carry)),
                      ("g", OR, ("self", carry)), ("n", NOT, ("g",)), ("m", AND, ("n", "s")),
                      ("x", XOR, ("o", "m")), ("y", XOR, ("x", "k")))
-    schedule = Schedule(table, 1)
+    schedule = Schedule(table)
     assert len(schedule.steps) == steps
     assert_ticks_like_table(table, schedule)
 
@@ -349,7 +345,7 @@ def cell_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(table=cell_tables())
 def test_any_table_ticks_like_its_blocks(table):
-    assert_ticks_like_table(table, Schedule(table, 1))
+    assert_ticks_like_table(table, Schedule(table))
 
 
 def test_cell_table_compiles_to_its_blocks():
@@ -358,16 +354,32 @@ def test_cell_table_compiles_to_its_blocks():
     assert_ticks_like_table(_TABLE, _SCHEDULE)
 
 
-@pytest.mark.parametrize("width", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("width", [1, 5, 63, 64, 65, 200])
 def test_evaluator_follows_board_size(width):
-    # The largest int board and the smallest plane board, each against bitsliced.
+    # One rule for both tables: the largest int board and the smallest
+    # plane board, each against the reference engine. Below 16 columns every
+    # board is an int, here one of more than 61,440 bits.
     height = tall(width)
-    assert (height - 1) * (width + 1) <= _INT_TICK_MAX_BITS < height * (width + 1)
-    for h, evaluator in ((height - 1, "int"), (height, "planes")):
+    boards = (((height - 1, "int"), (height, "planes")) if height
+              else ((61_440 // (width + 1) + 1, "int"),))
+    for h, name in boards:
         world = random_world(width, h, 0.4, width)
-        netlist = elaborate(width, h)
-        assert netlist.describe()["evaluator"] == evaluator
-        assert run(CircuitEngine(netlist=netlist), world, 3) == run("bitsliced", world, 3)
+        expected = run("reference", world, 3)
+        for schedule in (_CELL, _SCHEDULE):
+            ev = evaluator(schedule, width, h)
+            ev.load(world)
+            for _ in range(3):
+                ev.tick()
+            assert (ev.describe()["evaluator"], ev.world()) == (name, expected)
+
+
+def test_workloads_keep_their_evaluators():
+    # The benchmark's sizes: ladder's 10x10 to 100x100 tick on ints, and
+    # frames' 500x500 and megaworld's 1000x1000 on planes, for both tables.
+    for schedule in (_CELL, _SCHEDULE):
+        for size, name in (((10, 10), "int"), ((100, 100), "int"), ((500, 500), "planes"),
+                           ((1000, 1000), "planes")):
+            assert evaluator(schedule, *size).describe()["evaluator"] == name
 
 
 @pytest.mark.parametrize("schedule", [_CELL, _SCHEDULE], ids=["circuit", "bitsliced"])

@@ -379,6 +379,21 @@ def test_report_plot_data_in_missing_dir_fails_before_the_table(tmp_path, capsys
     assert not any(tmp_path.glob("**/p_*"))
 
 
+def test_report_plot_data_label_with_separator_fails_before_the_table(tmp_path, capsys):
+    # The label a/b puts PREFIX_a/b.csv in a directory PREFIX_a, which is
+    # checked, like the prefix's own, before anything is printed.
+    path = bench_csv(tmp_path, "dev.csv", [(10, 10, 100, 250_000), (20, 20, 100, 900_000)])
+    argv = ["report", "--input", f"a/b={path}", "--plot-data", str(tmp_path / "out")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: no such directory: {tmp_path / 'out_a'}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.csv"]
+    (tmp_path / "out_a").mkdir()
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and "| a/b |" in out
+    assert sorted(p.name for p in (tmp_path / "out_a").iterdir()) == ["b.csv", "b_fit.csv"]
+
+
 def test_report_schema_mismatch_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("width,height,cells,steps,total_ns\n10,10,100,1,100\n")
@@ -464,6 +479,20 @@ def test_report_label_given_twice_exit_2(tmp_path, capsys, label, argv):
     assert code == 2
     assert out == ""
     assert err == f"error: device label {label!r} is given twice\n"
+
+
+@pytest.mark.parametrize("power, message", [
+    (["pi=3", "pi=5"], "--power label 'pi' is given twice"),  # the last would win
+    (["typo=3"], "--power label 'typo' names no device of the report"),  # would be ignored
+    (["raspberry=3"], "--power label 'raspberry' names no device of the report"),
+], ids=["twice", "unknown", "default-profile"])
+def test_report_power_label_exit_2(tmp_path, capsys, power, message):
+    path = bench_csv(tmp_path, "pi.csv", [(10, 10, 100, 250_000)])
+    argv = ["report", "--input", f"pi={path}", *(f"--power={spec}" for spec in power)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run_cli([*argv[:3], "--power", "fpga=30"], capsys)  # the model's own label
+    assert code == 0 and out
 
 
 def test_report_empty_input_path_exit_2(capsys):

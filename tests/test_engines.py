@@ -6,19 +6,19 @@ from hypothesis import strategies as st
 
 from helpers import (BEACON_A, BEACON_B, GLIDER, RECORD_IDS, RECORD_SIZES, assert_stepped,
                      bit_rows, cells_of, crop, embed, get_cell, naive_step, naive_steps,
-                     neighbor_count, next_cell_state, record_worlds, row_ints, row_words,
+                     neighbor_count, next_cell_state, record_worlds, row_ints, row_words, tall,
                      world_from_cells, world_from_rows)
-from lifebench.circuit import _INT_TICK_MAX_BITS, SizeMismatch, elaborate
-from lifebench.engines import (_INT_STEP_MAX_BITS, ENGINE_KINDS, CircuitEngine, NoWorld,
-                               make_engine, run)
+from lifebench.circuit import SizeMismatch, _IntTick, elaborate
+from lifebench.engines import _SCHEDULE, ENGINE_KINDS, CircuitEngine, NoWorld, make_engine, run
 from lifebench.grid import Rng, World, parse_pattern, population, random_world
 
 ALL_ALIVE_3x3 = world_from_cells(3, 3, {(x, y) for x in range(3) for y in range(3)})
 
 
-def tall(width):
-    """Height of the shortest world of this width that the bit-sliced engine steps on planes."""
-    return _INT_STEP_MAX_BITS // (width + 1) + 1
+def high(width):
+    """tall(width), the shortest plane board; below 16 columns, where every
+    board ticks on an int, the height of one past 2**16 bits."""
+    return tall(width) or (1 << 16) // (width + 1) + 1
 
 
 def test_next_cell_state_truth_table():
@@ -118,8 +118,8 @@ def test_circuit_equals_reference_32x32():
 
 def test_cross_engine_equivalence_size_sweep():
     # Degenerate and odd shapes from 1x1 up to 100x100, a few steps each;
-    # 200x200, past the largest board the circuit ticks as one int; and tall
-    # worlds, past the largest board the bit-sliced engine steps as one.
+    # 200x200, near the largest square board either engine ticks as one
+    # int; and tall worlds, just past the largest int board of their width.
     sizes = [(1, 1), (1, 2), (2, 1), (1, 8), (8, 1), (2, 2), (3, 3), (1, 100),
              (100, 1), (2, 63), (63, 2), (64, 1), (64, 2), (65, 3), (5, 5),
              (7, 4), (9, 17), (13, 13), (31, 2), (32, 32), (33, 7), (50, 17),
@@ -142,25 +142,28 @@ def test_cross_engine_equivalence_size_sweep():
 def test_compiled_tick_matches_bitsliced(data):
     # Widths at word boundaries are drawn explicitly and so often, as the
     # carry, guard-bit and masked-NOT passes of the compiled tick meet them.
-    # A tall world repeats the drawn rows past the largest int board, so
-    # the same widths reach the plane tick too. Every board here stays below
-    # the largest one the bit-sliced engine steps as one int, so the oracle
-    # runs its own table on the int evaluator. Both tables are compiled by
+    # A tall world repeats the drawn rows to the smallest plane board, so
+    # the same widths reach the plane tick too; below 16 columns, to an int
+    # board of more than 2**16 bits. The oracle is the bit-sliced table on
+    # the int evaluator, whatever the size. Both tables are compiled by
     # circuit.Schedule, so the reference engine, whose kernel and codec share
     # no code with either, is the independent oracle (the tests below and
     # criterion 2).
     width = data.draw(st.one_of(st.sampled_from([63, 64, 65, 127, 128, 129]), st.integers(1, 200)))
     rows = data.draw(bit_rows(width, 1, 6))
     evaluator = data.draw(st.sampled_from(["int", "planes"]))
-    height = len(rows) + (_INT_TICK_MAX_BITS // (width + 1) if evaluator == "planes" else 0)
-    assert height * (width + 1) <= _INT_STEP_MAX_BITS
+    height = len(rows)
+    if evaluator == "planes":
+        height += high(width) - 1
+        evaluator = "planes" if tall(width) else "int"
     world = world_from_rows(width, height, (rows * height)[:height])
     netlist = elaborate(width, height)
     assert netlist.describe()["evaluator"] == evaluator
-    circuit, oracle = CircuitEngine(world, netlist=netlist), make_engine("bitsliced", world)
+    circuit, oracle = CircuitEngine(world, netlist=netlist), _IntTick(_SCHEDULE, width, height)
+    oracle.load(world)
     for _ in range(data.draw(st.integers(1, 8))):
         circuit.step()
-        oracle.step()
+        oracle.tick()
         # world() raises if the registers' padding bits are set
         assert circuit.world() == oracle.world()
 
@@ -183,12 +186,13 @@ def test_engines_agree_on_arbitrary_worlds(width, height, data):
 @given(st.data())
 def test_bitsliced_planes_match_reference(data):
     # The bit-sliced plane step shares circuit._PlaneTick's planes with the
-    # circuit's plane tick, so the reference engine is the oracle. The drawn rows repeat to
-    # just past the largest board the bit-sliced engine steps as one int.
+    # circuit's plane tick, so the reference engine is the oracle. The drawn
+    # rows repeat to the smallest plane board, or below 16 columns, where
+    # every board is an int, to just past 2**16 bits.
     width = data.draw(st.one_of(st.sampled_from([1, 63, 64, 65, 127, 128, 129]),
                                 st.integers(1, 300)))
     rows = data.draw(bit_rows(width, 1, 4))
-    height = tall(width)
+    height = high(width)
     world = world_from_rows(width, height, (rows * height)[:height])
     steps = data.draw(st.integers(1, 3))
     assert run("bitsliced", world, steps) == run("reference", world, steps)
@@ -198,13 +202,14 @@ def test_bitsliced_planes_match_reference(data):
 def test_step_keeps_padding_bits_zero(kind):
     # widths straddling word boundaries; stray bits would break word
     # equality. A tall world is stepped on planes by both bit-parallel
-    # engines, a short one on an int. Live first and last columns show each
-    # guard bit the most live cells it can see (six, for an int's guard bit
-    # and for the one padding bit of a 127-cell plane row, which takes both
-    # carries). The plane readback builds its World unchecked, so every
-    # world() must also pass World.from_bytes' padding check.
+    # engines, a short one on an int, and so is a tall one 1 column wide.
+    # Live first and last columns show each guard bit the most live cells
+    # it can see (six, for an int's guard bit and for the one padding bit of
+    # a 127-cell plane row, which takes both carries). The plane readback
+    # builds its World unchecked, so every world() must also pass
+    # World.from_bytes' padding check.
     rng = Rng(414)
-    sizes = [(w, h) for w in (1, 63, 64, 65, 127, 128, 500) for h in (3, tall(w))]
+    sizes = [(w, h) for w in (1, 63, 64, 65, 127, 128, 500) for h in (3, high(w))]
     for w, h in [*sizes, (100, 2), (129, tall(129))]:
         edges = world_from_rows(w, h, [1 | 1 << (w - 1)] * h)
         for world in (random_world(w, h, 0.8, rng.next_u64()), edges):
@@ -302,8 +307,8 @@ def test_dead_frame_embedding_commutes(kind):
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 129])
 def test_load_world_roundtrip(kind, width):
-    # a tall world is held on the bit-sliced engine's planes
-    for height in (3, tall(width)):
+    # a tall world is held on the bit-parallel engines' planes, 1 column on an int
+    for height in (3, high(width)):
         engine = make_engine(kind)
         live = random_world(width, height, 0.5, width).words
         # the second load reuses the first one's buffers
@@ -316,7 +321,7 @@ def test_load_world_roundtrip(kind, width):
 
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
 def test_world_readback_is_not_a_view(kind):
-    # a tall world is held on the bit-sliced engine's planes
+    # a tall world is held on the bit-parallel engines' planes
     for h in (6, tall(70)):
         engine = make_engine(kind, random_world(70, h, 0.5, 3))
         out = engine.world()
@@ -399,7 +404,7 @@ def test_class_patch_of_world_reaches_loaded_engines(kind, monkeypatch):
 def test_readback_reload_after_foreign_load(kind, size):
     # The foreign world has the readback's generation, so only the record's
     # clear on a full load tells the readback's cells from the foreign ones.
-    assert RECORD_SIZES[1][1] >= tall(64)  # planes for the bit-sliced engine
+    assert RECORD_SIZES[1][1] >= tall(64)  # planes for both engines
     start, foreign = record_worlds(*size)
     engine = make_engine(kind, start)
     engine.step()
